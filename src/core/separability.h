@@ -44,9 +44,9 @@ struct CqSepOptions {
   /// Workers *inside* each homomorphism search (HomOptions::num_threads):
   /// 1 = the classic sequential kernel (default), 0 = hardware concurrency.
   /// Use > 1 when the sweep is dominated by a few hard pairs rather than by
-  /// pair count — intra-instance workers multiply with `num_threads`, so
-  /// keep their product near the core count. The decision is identical for
-  /// every setting.
+  /// pair count. Both levels run on the one process-wide pool
+  /// (util/parallel.h), so nested workers share its threads instead of
+  /// multiplying them. The decision is identical for every setting.
   std::size_t hom_threads = 1;
   /// Cooperative budget threaded into every pairwise hom search; nullptr =
   /// unbounded. Checked at entry (a zero/expired deadline returns
@@ -81,7 +81,7 @@ struct CqmSepOptions {
   /// (Proposition 4.3); 0 = unrestricted.
   std::size_t max_variable_occurrences = 0;
   /// When non-null, the enumerated features are evaluated through the
-  /// batched serve layer — sharded over its thread pool and reused from
+  /// batched serve layer — sharded over the shared pool and reused from
   /// its cache on repeated (database, m) workloads — instead of the serial
   /// per-feature sweep. The decision and model are bit-identical.
   serve::EvalService* service = nullptr;

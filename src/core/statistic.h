@@ -42,7 +42,7 @@ struct PartialMatrix {
 /// batched, caching, sharded evaluation path (DESIGN.md §8). With
 /// `service == nullptr` (the default) they evaluate serially in the calling
 /// thread, feature by feature, exactly as before; with a service they
-/// produce bit-identical results through its cache and thread pool.
+/// produce bit-identical results through its cache and the shared pool.
 class Statistic {
  public:
   Statistic() = default;

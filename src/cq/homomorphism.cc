@@ -2,9 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,6 +12,7 @@
 #include "testing/faults.h"
 #include "util/budget.h"
 #include "util/check.h"
+#include "util/parallel.h"
 #include "util/svo_bitset.h"
 
 namespace featsep {
@@ -891,11 +890,8 @@ void HomSearch::UndoTo(std::size_t mark) {
 HomResult FindHomomorphism(const Database& from, const Database& to,
                            const std::vector<std::pair<Value, Value>>& seed,
                            const HomOptions& options) {
-  std::size_t threads = options.num_threads;
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
-  }
+  const std::size_t threads =
+      options.num_threads == 0 ? HardwareThreads() : options.num_threads;
   if (threads <= 1) {
     // The classic sequential search — or, with sequential_restarts, a
     // single deterministic Luby-restart worker (the restart/nogood
@@ -911,24 +907,23 @@ HomResult FindHomomorphism(const Database& from, const Database& to,
     return search.Run(seed, &shared, WorkerConfig{0, true, true});
   }
 
-  // Intra-instance parallel search: worker 0 runs the deterministic
-  // sequential order (guaranteeing the call terminates exactly when the
-  // sequential search does), workers 1.. run Luby-restart searches over
-  // randomized value orders, all sharing one nogood store. The first
-  // definitive answer wins; found witnesses are verified before they are
-  // reported, so any-time soundness never rests on worker scheduling.
+  // Intra-instance parallel search on the shared pool: worker 0 runs the
+  // deterministic sequential order and is always claimed first (so the call
+  // terminates exactly when the sequential search does), workers 1.. run
+  // Luby-restart searches over randomized value orders, all sharing one
+  // nogood store. The first definitive answer wins; found witnesses are
+  // verified before they are reported, so any-time soundness never rests on
+  // worker scheduling.
   ParallelShared shared;
   NogoodStore store;
   if (options.use_nogoods) shared.store = &store;
 
   BudgetOutcome worker_outcome = BudgetOutcome::kCompleted;
   std::mutex outcome_mutex;
-  std::exception_ptr worker_error;
   auto run_worker = [&](std::size_t w) {
-    // An exception escaping a std::thread is std::terminate — capture it
-    // (e.g., the fault harness's injected bad_alloc) and rethrow it from
-    // the joining thread so parallel calls fail exactly like sequential
-    // ones. A captured error also cancels the siblings via `done`.
+    // A restart worker the pool only reaches after the race is decided
+    // never builds its search state.
+    if (shared.done.load(std::memory_order_acquire)) return;
     try {
       HomSearch search(from, to, options);
       HomResult result =
@@ -952,22 +947,13 @@ HomResult FindHomomorphism(const Database& from, const Database& to,
         }
       }
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(outcome_mutex);
-        if (worker_error == nullptr) worker_error = std::current_exception();
-      }
+      // ParallelFor rethrows the error (e.g., the fault harness's injected
+      // bad_alloc) in the calling thread; `done` cancels the siblings.
       shared.done.store(true, std::memory_order_release);
+      throw;
     }
   };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (std::size_t w = 1; w < threads; ++w) {
-    pool.emplace_back(run_worker, w);
-  }
-  run_worker(0);
-  for (std::thread& t : pool) t.join();
-  if (worker_error != nullptr) std::rethrow_exception(worker_error);
+  ParallelFor(threads, threads, run_worker);
 
   std::uint64_t total_nodes = shared.nodes.load(std::memory_order_relaxed);
   std::uint64_t total_restarts =

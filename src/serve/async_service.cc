@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/parallel.h"
+
 namespace featsep {
 namespace serve {
 namespace {
@@ -123,11 +125,9 @@ void RequestHandle::Cancel() const {
 
 AsyncEvalService::AsyncEvalService(const AsyncServeOptions& options)
     : options_(options), backend_(options.serve) {
-  std::size_t n = options_.num_dispatchers;
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;
-  }
+  const std::size_t n = options_.num_dispatchers == 0
+                            ? HardwareThreads()
+                            : options_.num_dispatchers;
   dispatchers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     dispatchers_.emplace_back([this] { DispatcherLoop(); });

@@ -67,8 +67,9 @@ struct AsyncServeOptions {
   /// unbounded (admission control off).
   std::size_t queue_capacity = 256;
   /// Dispatcher threads pulling requests off the queues; 0 = hardware
-  /// concurrency. Dispatchers fan each request's shards over the backend
-  /// pool, so keep dispatchers × num_shards near the core count.
+  /// concurrency. Each dispatcher fans its request's shards out on the
+  /// process-wide pool (util/parallel.h), which all dispatchers share, so
+  /// dispatchers add at most one thread each on top of the pool.
   std::size_t num_dispatchers = 1;
   /// Deadline applied to requests whose SubmitOptions leave `timeout`
   /// unset, measured from Submit; zero = unbounded.

@@ -10,6 +10,7 @@
 #include "serve/wire_format.h"
 #include "util/check.h"
 #include "util/hash.h"
+#include "util/parallel.h"
 
 namespace featsep {
 namespace serve {
@@ -52,8 +53,7 @@ const char* DiskHealthName(DiskHealth health) {
   return "?";
 }
 
-EvalService::EvalService(const ServeOptions& options)
-    : options_(options), pool_(options.num_shards) {
+EvalService::EvalService(const ServeOptions& options) : options_(options) {
   if (!options_.cache_dir.empty()) {
     DiskCacheOptions disk_options;
     disk_options.env = options_.fs_env.get();
@@ -274,7 +274,7 @@ std::vector<std::shared_ptr<const FeatureAnswer>> EvalService::Resolve(
   if (misses.empty()) return answers;
 
   // Sharded evaluation of the misses: (feature × entity-block) work items
-  // on the persistent pool — or, in shard-dir mode, published to the
+  // on the shared pool — or, in shard-dir mode, published to the
   // multi-process protocol. Each item writes disjoint flag slots, so the
   // result is bit-identical for every shard count and worker mix.
   const std::vector<Value> entities = db.Entities();
@@ -295,8 +295,9 @@ std::vector<std::shared_ptr<const FeatureAnswer>> EvalService::Resolve(
   const bool sharded = !options_.shard_dir.empty() && budget == nullptr &&
                        ResolveMissesSharded(misses, db, entities);
   if (!sharded) {
-    pool_.ParallelFor(
-        misses.size() * blocks_per_feature, [&](std::size_t task) {
+    ParallelFor(
+        options_.num_shards, misses.size() * blocks_per_feature,
+        [&](std::size_t task) {
           const std::size_t m = task / blocks_per_feature;
           Miss& miss = misses[m];
           // Queued shards of an abandoned request bail at dispatch — this is

@@ -18,7 +18,6 @@
 #include "relational/database.h"
 #include "serve/disk_cache.h"
 #include "util/budget.h"
-#include "util/thread_pool.h"
 
 namespace featsep {
 namespace serve {
@@ -175,15 +174,16 @@ class FeatureAnswer {
 ///     feature canonical string), so a repeated (database, feature) pair
 ///     costs hash lookups instead of NP-hard homomorphism searches;
 ///   - cache misses are computed as (feature × entity-block) work items on
-///     a persistent thread pool, sharded `num_shards` wide, instead of
-///     spawning threads per call.
+///     the process-wide pool of util/parallel.h, at most `num_shards` at
+///     once.
 ///
 /// A service is safe to share between threads (the cache is
-/// mutex-protected; batches serialize on the pool), but do not call it from
-/// inside another service batch. Every query path has a serial fallback:
-/// `num_shards = 1` never touches a worker thread, `cache_capacity = 0`
-/// never caches, and all results are bit-identical to the unserved paths in
-/// core/statistic.h, core/separability.h, and qbe/qbe.h.
+/// mutex-protected; concurrent batches share the pool) and may be called
+/// from inside another parallel batch. Every query path has a serial
+/// fallback: `num_shards = 1` never touches a worker thread,
+/// `cache_capacity = 0` never caches, and all results are bit-identical to
+/// the unserved paths in core/statistic.h, core/separability.h, and
+/// qbe/qbe.h.
 class EvalService {
  public:
   explicit EvalService(const ServeOptions& options = {});
@@ -295,7 +295,6 @@ class EvalService {
   void NoteDiskResult(bool io_ok);
 
   ServeOptions options_;
-  ThreadPool pool_;
   /// Durable tier; null when cache_dir is empty. Thread-safe itself, so
   /// accessed outside cache_mutex_.
   std::unique_ptr<DiskResultCache> disk_;

@@ -395,19 +395,23 @@ PropertyCheck CheckGhwProperties(const ConjunctiveQuery& query) {
 }
 
 PropertyCheck CheckSepThreadDeterminism(const TrainingDatabase& training) {
-  CqSepResult results[3];
-  const std::size_t thread_counts[3] = {1, 2, 8};
-  for (int i = 0; i < 3; ++i) {
+  // The last leg nests parallel hom searches inside the parallel sweep.
+  CqSepResult results[4];
+  const std::size_t thread_counts[4] = {1, 2, 8, 4};
+  const std::size_t hom_thread_counts[4] = {1, 1, 1, 4};
+  for (int i = 0; i < 4; ++i) {
     CqSepOptions options;
     options.num_threads = thread_counts[i];
+    options.hom_threads = hom_thread_counts[i];
     results[i] = DecideCqSep(training, options);
   }
-  for (int i = 1; i < 3; ++i) {
+  for (int i = 1; i < 4; ++i) {
     if (results[i].separable != results[0].separable ||
         results[i].conflict != results[0].conflict) {
       std::ostringstream detail;
       detail << "DecideCqSep differs between 1 and " << thread_counts[i]
-             << " threads\n" << WriteTrainingDatabase(training);
+             << "x" << hom_thread_counts[i] << " threads\n"
+             << WriteTrainingDatabase(training);
       return Violation("sep/thread-determinism", detail.str());
     }
   }
@@ -466,15 +470,18 @@ PropertyCheck CheckQbeProperties(const Database& db,
     return out.str();
   };
 
-  // SolveCqQbe: 1/2/8-thread determinism of decision and explanation.
-  QbeResult results[3];
-  const std::size_t thread_counts[3] = {1, 2, 8};
-  for (int i = 0; i < 3; ++i) {
+  // SolveCqQbe: 1/2/8-thread determinism of decision and explanation, plus
+  // a 4x4 leg that nests parallel hom searches inside the negative scan.
+  QbeResult results[4];
+  const std::size_t thread_counts[4] = {1, 2, 8, 4};
+  const std::size_t hom_thread_counts[4] = {1, 1, 1, 4};
+  for (int i = 0; i < 4; ++i) {
     QbeOptions options;
     options.num_threads = thread_counts[i];
+    options.hom_threads = hom_thread_counts[i];
     results[i] = SolveCqQbe(instance, options);
   }
-  for (int i = 1; i < 3; ++i) {
+  for (int i = 1; i < 4; ++i) {
     if (results[i].exists != results[0].exists ||
         results[i].explanation.has_value() !=
             results[0].explanation.has_value() ||
@@ -483,8 +490,9 @@ PropertyCheck CheckQbeProperties(const Database& db,
              results[0].explanation->ToString())) {
       return Violation("qbe/thread-determinism",
                        "SolveCqQbe differs between 1 and " +
-                           std::to_string(thread_counts[i]) + " threads\n" +
-                           describe());
+                           std::to_string(thread_counts[i]) + "x" +
+                           std::to_string(hom_thread_counts[i]) +
+                           " threads\n" + describe());
     }
   }
   const QbeResult& cq = results[0];

@@ -1,15 +1,16 @@
 #include "util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "util/thread_pool.h"
 
 namespace featsep {
 namespace {
@@ -19,6 +20,9 @@ TEST(ParallelTest, EffectiveThreadsResolvesKnob) {
   EXPECT_EQ(EffectiveThreads(1, 100), 1u);   // Explicit serial.
   EXPECT_EQ(EffectiveThreads(8, 3), 3u);     // Clamped to the work items.
   EXPECT_EQ(EffectiveThreads(8, 0), 1u);     // Never zero.
+  EXPECT_GE(HardwareThreads(), 1u);
+  EXPECT_EQ(EffectiveThreads(0, 1000), std::min<std::size_t>(
+                                           HardwareThreads(), 1000));
 }
 
 TEST(ParallelTest, ForVisitsEveryIndexExactlyOnce) {
@@ -47,6 +51,77 @@ TEST(ParallelTest, ForHandlesEmptyRange) {
   bool called = false;
   ParallelFor(4, 0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+// --- The shared pool ------------------------------------------------------
+
+TEST(ParallelTest, ForNestedThreeLevelsVisitsEveryIndexOnce) {
+  // Every level calls back into the pool from inside a work item; callers
+  // run their own batches, so this neither deadlocks nor loses items.
+  constexpr std::size_t kWidth = 4;
+  std::vector<std::atomic<int>> visits(kWidth * kWidth * kWidth);
+  ParallelFor(kWidth, kWidth, [&](std::size_t a) {
+    ParallelFor(kWidth, kWidth, [&](std::size_t b) {
+      ParallelFor(kWidth, kWidth, [&](std::size_t c) {
+        visits[(a * kWidth + b) * kWidth + c].fetch_add(
+            1, std::memory_order_relaxed);
+      });
+    });
+  });
+  for (std::size_t i = 0; i < visits.size(); ++i) {
+    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelTest, ForConcurrentCallersOverlap) {
+  // Each caller's first item waits until the other caller's batch is
+  // running. Callers that queued behind one another would never meet; the
+  // wait is bounded so a regression fails instead of hanging.
+  std::atomic<int> started{0};
+  std::atomic<bool> met[2] = {false, false};
+  auto caller = [&](int id) {
+    ParallelFor(4, 64, [&](std::size_t i) {
+      if (i != 0) return;
+      started.fetch_add(1);
+      auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load() < 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      met[id].store(started.load() == 2);
+    });
+  };
+  std::thread first(caller, 0);
+  std::thread second(caller, 1);
+  first.join();
+  second.join();
+  EXPECT_TRUE(met[0].load());
+  EXPECT_TRUE(met[1].load());
+}
+
+TEST(ParallelTest, ForCapsInFlightItemsAfterPoolGrew) {
+  // Another thread keeps growing the pool to 16 and waking every worker
+  // with wide batches; workers that finish one look for more work, and a
+  // narrow batch must still keep to its own cap.
+  std::atomic<bool> narrow_done{false};
+  std::thread waker([&] {
+    while (!narrow_done.load()) ParallelFor(16, 64, [](std::size_t) {});
+  });
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  ParallelFor(2, 400, [&](std::size_t) {
+    int now = in_flight.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    in_flight.fetch_sub(1);
+  });
+  narrow_done.store(true);
+  waker.join();
+  EXPECT_LE(peak.load(), 2);
+  EXPECT_GE(peak.load(), 1);
 }
 
 TEST(ParallelTest, FindFirstMatchesSerialAnswer) {
@@ -118,42 +193,6 @@ TEST(ParallelTest, FindFirstMoreThreadsThanItems) {
   // All-match and no-match extremes under oversubscription.
   EXPECT_EQ(ParallelFindFirst(16, 2, [](std::size_t) { return true; }), 0u);
   EXPECT_EQ(ParallelFindFirst(16, 2, [](std::size_t) { return false; }), 2u);
-}
-
-TEST(ThreadPoolTest, VisitsEveryIndexAcrossReusedBatches) {
-  for (std::size_t threads : {1ul, 2ul, 8ul}) {
-    ThreadPool pool(threads);
-    EXPECT_GE(pool.concurrency(), 1u);
-    // Several batches through the same persistent pool: the workers must
-    // pick up each new generation, not just the first.
-    for (int batch = 0; batch < 3; ++batch) {
-      constexpr std::size_t kItems = 500;
-      std::vector<std::atomic<int>> visits(kItems);
-      pool.ParallelFor(kItems, [&](std::size_t i) {
-        visits[i].fetch_add(1, std::memory_order_relaxed);
-      });
-      for (std::size_t i = 0; i < kItems; ++i) {
-        EXPECT_EQ(visits[i].load(), 1) << "index " << i;
-      }
-    }
-  }
-}
-
-TEST(ThreadPoolTest, EmptyRangeNeverInvokes) {
-  ThreadPool pool(4);
-  bool called = false;
-  pool.ParallelFor(0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPoolTest, FewerItemsThanWorkers) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> visits(2);
-  pool.ParallelFor(2, [&](std::size_t i) {
-    visits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(visits[0].load(), 1);
-  EXPECT_EQ(visits[1].load(), 1);
 }
 
 TEST(ParallelTest, FindFirstSerialStopsAtTheMatch) {
@@ -255,19 +294,58 @@ TEST(ParallelTest, FindFirstExceptionCancelsSiblings) {
   EXPECT_LT(visits.load(), kItems / 2) << "siblings kept claiming after throw";
 }
 
+// --- The process-wide worker pool ----------------------------------------
+//
+// Every ParallelFor and ParallelFindFirst call runs on one shared pool that
+// outlives each batch. These cases check that the pool picks up batch after
+// batch and survives a throwing batch.
+
+TEST(ThreadPoolTest, VisitsEveryIndexAcrossReusedBatches) {
+  for (std::size_t threads : {1ul, 2ul, 8ul}) {
+    // Several batches through the same persistent workers: they must pick
+    // up each new batch, not just the first.
+    for (int batch = 0; batch < 3; ++batch) {
+      constexpr std::size_t kItems = 500;
+      std::vector<std::atomic<int>> visits(kItems);
+      ParallelFor(threads, kItems, [&](std::size_t i) {
+        visits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < kItems; ++i) {
+        EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, EmptyRangeNeverInvokes) {
+  for (std::size_t threads : {1ul, 4ul}) {
+    bool called = false;
+    ParallelFor(threads, 0, [&](std::size_t) { called = true; });
+    EXPECT_FALSE(called);
+  }
+}
+
+TEST(ThreadPoolTest, FewerItemsThanWorkers) {
+  std::vector<std::atomic<int>> visits(2);
+  ParallelFor(8, 2, [&](std::size_t i) {
+    visits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(visits[0].load(), 1);
+  EXPECT_EQ(visits[1].load(), 1);
+}
+
 TEST(ThreadPoolTest, RethrowsWorkerExceptionAndStaysUsable) {
   for (std::size_t threads : {1ul, 2ul, 8ul}) {
-    ThreadPool pool(threads);
-    EXPECT_THROW(pool.ParallelFor(100,
-                                  [](std::size_t i) {
-                                    if (i == 13) throw ItemError(i);
-                                  }),
+    EXPECT_THROW(ParallelFor(threads, 100,
+                             [](std::size_t i) {
+                               if (i == 13) throw ItemError(i);
+                             }),
                  ItemError);
     // The pool survives the throw: a clean batch afterwards still visits
     // every index exactly once.
     constexpr std::size_t kItems = 300;
     std::vector<std::atomic<int>> visits(kItems);
-    pool.ParallelFor(kItems, [&](std::size_t i) {
+    ParallelFor(threads, kItems, [&](std::size_t i) {
       visits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < kItems; ++i) {
@@ -277,31 +355,31 @@ TEST(ThreadPoolTest, RethrowsWorkerExceptionAndStaysUsable) {
 }
 
 TEST(ThreadPoolTest, ExceptionSkipsRemainingItems) {
-  ThreadPool pool(4);
+  // A wide batch first grows the pool past the narrow batch's cap; the
+  // extra idle workers must not keep the throwing batch running.
+  ParallelFor(16, 64, [](std::size_t) {});
   constexpr std::size_t kItems = 100000;
   std::atomic<std::size_t> visits{0};
-  EXPECT_THROW(pool.ParallelFor(kItems,
-                                [&](std::size_t i) {
-                                  visits.fetch_add(1,
-                                                   std::memory_order_relaxed);
-                                  if (i == 0) throw ItemError(i);
-                                }),
-                ItemError);
+  EXPECT_THROW(ParallelFor(4, kItems,
+                           [&](std::size_t i) {
+                             visits.fetch_add(1, std::memory_order_relaxed);
+                             if (i == 0) throw ItemError(i);
+                           }),
+               ItemError);
   EXPECT_LT(visits.load(), kItems / 2) << "batch kept running after throw";
 }
 
 TEST(ThreadPoolTest, BadAllocPropagatesAndPoolSurvives) {
-  ThreadPool pool(4);
   for (int round = 0; round < 3; ++round) {
-    EXPECT_THROW(pool.ParallelFor(50,
-                                  [](std::size_t i) {
-                                    if (i == 7) throw std::bad_alloc();
-                                  }),
+    EXPECT_THROW(ParallelFor(4, 50,
+                             [](std::size_t i) {
+                               if (i == 7) throw std::bad_alloc();
+                             }),
                  std::bad_alloc);
   }
-  bool ran = false;
-  pool.ParallelFor(1, [&](std::size_t) { ran = true; });
-  EXPECT_TRUE(ran);
+  std::atomic<bool> ran{false};
+  ParallelFor(4, 1, [&](std::size_t) { ran = true; });
+  EXPECT_TRUE(ran.load());
 }
 
 }  // namespace

@@ -107,6 +107,11 @@ TEST(CqSepTest, ThreadCountDoesNotChangeTheAnswer) {
     EXPECT_EQ(parallel.separable, serial.separable);
     EXPECT_EQ(parallel.conflict, serial.conflict);
   }
+  // Nested: parallel hom searches inside the parallel pair sweep.
+  CqSepResult nested =
+      DecideCqSep(training, {.num_threads = 4, .hom_threads = 4});
+  EXPECT_EQ(nested.separable, serial.separable);
+  EXPECT_EQ(nested.conflict, serial.conflict);
 }
 
 TEST(CqSepTest, ParallelConflictIsTheFirstInPairOrder) {
