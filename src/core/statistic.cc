@@ -38,12 +38,13 @@ std::vector<FeatureVector> Statistic::Matrix(
   for (std::size_t i = 0; i < entities.size(); ++i) {
     matrix[i].reserve(features_.size());
   }
-  // Evaluate feature-by-feature so each evaluator's canonical database is
-  // built once.
+  // Evaluate feature-by-feature so each feature is split and bound to the
+  // database once.
   for (const ConjunctiveQuery& q : features_) {
     CqEvaluator evaluator(q);
+    CqEvaluator::Binding binding = evaluator.Bind(db);
     for (std::size_t i = 0; i < entities.size(); ++i) {
-      matrix[i].push_back(evaluator.SelectsEntity(db, entities[i]) ? 1 : -1);
+      matrix[i].push_back(binding.SelectsEntity(entities[i]) ? 1 : -1);
     }
   }
   return matrix;
@@ -77,9 +78,10 @@ PartialMatrix Statistic::TryMatrix(const Database& db, ExecutionBudget* budget,
   }
   for (std::size_t j = 0; j < features_.size(); ++j) {
     CqEvaluator evaluator(features_[j]);
+    CqEvaluator::Binding binding = evaluator.Bind(db);
     for (std::size_t i = 0; i < entities.size(); ++i) {
       std::optional<bool> selects =
-          evaluator.TrySelectsEntity(db, entities[i], budget);
+          binding.TrySelectsEntity(entities[i], budget);
       if (!selects.has_value()) {
         // The budget outcome is sticky, so every remaining cell would be
         // interrupted too; stop here and leave them invalid.

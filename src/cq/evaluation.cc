@@ -7,11 +7,35 @@
 namespace featsep {
 
 CqEvaluator::CqEvaluator(const ConjunctiveQuery& query)
-    : query_(query), canonical_(query.schema_ptr()) {
-  auto [db, var_to_value] = query_.CanonicalDatabase();
-  canonical_ = std::move(db);
-  var_to_value_ = std::move(var_to_value);
-  free_tuple_ = ConjunctiveQuery::FreeTuple(query_, var_to_value_);
+    : query_(query),
+      component_(query.schema_ptr()),
+      rest_(query.schema_ptr()) {
+  auto [canonical, var_to_value] = query_.CanonicalDatabase();
+  free_tuple_ = ConjunctiveQuery::FreeTuple(query_, var_to_value);
+
+  // Connected components of the canonical database (union-find over its
+  // values); a fact belongs to the x-component iff it reaches a free value.
+  std::vector<Value> parent(canonical.num_values());
+  for (Value v = 0; v < parent.size(); ++v) parent[v] = v;
+  auto find = [&parent](Value v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  for (const Fact& fact : canonical.facts()) {
+    for (Value v : fact.args) parent[find(v)] = find(fact.args[0]);
+  }
+  std::vector<char> free_root(canonical.num_values(), 0);
+  for (Value v : free_tuple_) free_root[find(v)] = 1;
+  for (Value v = 0; v < canonical.num_values(); ++v) {
+    component_.Intern(canonical.value_name(v));
+    rest_.Intern(canonical.value_name(v));
+  }
+  for (const Fact& fact : canonical.facts()) {
+    const bool in_component =
+        !fact.args.empty() && free_root[find(fact.args[0])] != 0;
+    (in_component ? component_ : rest_).AddFact(fact.relation, fact.args);
+  }
+
   if (query_.schema().has_entity_relation() && query_.IsUnary()) {
     RelationId eta = query_.schema().entity_relation();
     Variable x = query_.free_variable();
@@ -25,48 +49,83 @@ CqEvaluator::CqEvaluator(const ConjunctiveQuery& query)
   }
 }
 
-bool CqEvaluator::Selects(const Database& db, const std::vector<Value>& tuple,
-                          const HomOptions& options) const {
+CqEvaluator::Binding::Binding(const CqEvaluator& evaluator,
+                              const Database& db)
+    : evaluator_(&evaluator),
+      db_(&db),
+      component_search_(evaluator.component_, db) {
+  if (evaluator.rest_.facts().empty()) rest_maps_ = true;
+}
+
+CqEvaluator::Binding CqEvaluator::Bind(const Database& db) const {
   FEATSEP_CHECK(query_.schema() == db.schema())
       << "query and database schemas differ";
-  FEATSEP_CHECK_EQ(tuple.size(), free_tuple_.size());
-  std::vector<std::pair<Value, Value>> seed;
-  seed.reserve(tuple.size());
-  for (std::size_t i = 0; i < tuple.size(); ++i) {
-    seed.emplace_back(free_tuple_[i], tuple[i]);
+  return Binding(*this, db);
+}
+
+std::optional<bool> CqEvaluator::Binding::Probe(ExecutionBudget* budget) {
+  if (!rest_maps_.has_value()) {
+    HomOptions options;
+    options.budget = budget;
+    HomResult rest = FindHomomorphism(evaluator_->rest_, *db_, {}, options);
+    if (rest.status == HomStatus::kExhausted) return std::nullopt;
+    rest_maps_ = rest.status == HomStatus::kFound;
   }
-  return HomomorphismExists(canonical_, db, seed, options);
-}
-
-bool CqEvaluator::SelectsEntity(const Database& db, Value entity,
-                                const HomOptions& options) const {
-  FEATSEP_CHECK(query_.IsUnary());
-  return Selects(db, {entity}, options);
-}
-
-std::optional<bool> CqEvaluator::TrySelectsEntity(
-    const Database& db, Value entity, ExecutionBudget* budget) const {
-  FEATSEP_CHECK(query_.IsUnary());
-  FEATSEP_CHECK(query_.schema() == db.schema())
-      << "query and database schemas differ";
-  std::vector<std::pair<Value, Value>> seed;
-  seed.emplace_back(free_tuple_[0], entity);
-  HomOptions options;
-  options.budget = budget;
-  HomResult result = FindHomomorphism(canonical_, db, seed, options);
+  if (!*rest_maps_) return false;
+  HomResult result = component_search_.Run(seed_, budget);
   if (result.status == HomStatus::kExhausted) return std::nullopt;
   return result.status == HomStatus::kFound;
 }
 
-std::vector<Value> CqEvaluator::Evaluate(const Database& db,
-                                         const HomOptions& options) const {
+std::optional<bool> CqEvaluator::Binding::TrySelects(
+    const std::vector<Value>& tuple, ExecutionBudget* budget) {
+  const std::vector<Value>& free_tuple = evaluator_->free_tuple_;
+  FEATSEP_CHECK_EQ(tuple.size(), free_tuple.size());
+  seed_.clear();
+  for (std::size_t i = 0; i < tuple.size(); ++i) {
+    seed_.emplace_back(free_tuple[i], tuple[i]);
+  }
+  return Probe(budget);
+}
+
+std::optional<bool> CqEvaluator::Binding::TrySelectsEntity(
+    Value entity, ExecutionBudget* budget) {
+  FEATSEP_CHECK(evaluator_->query_.IsUnary());
+  seed_.assign(1, {evaluator_->free_tuple_[0], entity});
+  return Probe(budget);
+}
+
+bool CqEvaluator::Binding::SelectsEntity(Value entity) {
+  std::optional<bool> selects = TrySelectsEntity(entity, nullptr);
+  FEATSEP_CHECK(selects.has_value());  // No budget, so never interrupted.
+  return *selects;
+}
+
+bool CqEvaluator::Selects(const Database& db,
+                          const std::vector<Value>& tuple) const {
+  std::optional<bool> selects = Bind(db).TrySelects(tuple, nullptr);
+  FEATSEP_CHECK(selects.has_value());
+  return *selects;
+}
+
+bool CqEvaluator::SelectsEntity(const Database& db, Value entity) const {
+  return Bind(db).SelectsEntity(entity);
+}
+
+std::optional<bool> CqEvaluator::TrySelectsEntity(
+    const Database& db, Value entity, ExecutionBudget* budget) const {
+  return Bind(db).TrySelectsEntity(entity, budget);
+}
+
+std::vector<Value> CqEvaluator::Evaluate(const Database& db) const {
   FEATSEP_CHECK(query_.IsUnary())
       << "Evaluate supports unary queries; use Selects for general tuples";
   std::vector<Value> candidates =
       has_entity_atom_ ? db.Entities() : db.domain();
+  Binding binding = Bind(db);
   std::vector<Value> result;
   for (Value candidate : candidates) {
-    if (SelectsEntity(db, candidate, options)) result.push_back(candidate);
+    if (binding.SelectsEntity(candidate)) result.push_back(candidate);
   }
   return result;
 }

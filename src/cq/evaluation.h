@@ -2,6 +2,7 @@
 #define FEATSEP_CQ_EVALUATION_H_
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cq/cq.h"
@@ -12,8 +13,12 @@
 namespace featsep {
 
 /// Evaluates a CQ over a database via homomorphisms from its canonical
-/// database (paper, Section 2). Builds the canonical database once and
-/// reuses it across probes; create one evaluator per (query, workload).
+/// database (paper, Section 2). The canonical database is built once and
+/// split into the connected components that hold a free variable (the
+/// x-component) and the x-free rest. The two parts share no variable, so
+/// ā ∈ q(D) iff the rest maps into D and (x-component, x̄) → (D, ā): the
+/// rest is decided once per database, not once per tuple. Create one
+/// evaluator per (query, workload).
 class CqEvaluator {
  public:
   /// The query's schema must equal the schema of the databases it will be
@@ -22,30 +27,66 @@ class CqEvaluator {
 
   const ConjunctiveQuery& query() const { return query_; }
 
+  /// The query bound to one database: the path every probe takes, so a
+  /// per-entity loop binds once and probes each entity through the binding.
+  /// The x-free rest is decided on the first probe and remembered; when it
+  /// fails, every probe answers false without a search. The x-component
+  /// search is prepared once (PreparedHomSearch) and re-seeded per probe.
+  /// Not thread-safe: bind once per thread. The evaluator and the database
+  /// must outlive the binding, and the database must not change under it.
+  class Binding {
+   public:
+    /// Budgeted probe: nullopt when `budget` interrupted the search before
+    /// it decided (never read nullopt as "not selected"); otherwise the
+    /// definitive membership ā ∈ q(D). A later probe redoes whatever an
+    /// interruption left undecided. nullptr = unbounded.
+    std::optional<bool> TrySelects(const std::vector<Value>& tuple,
+                                   ExecutionBudget* budget);
+    /// TrySelects for unary queries: e ∈ q(D).
+    std::optional<bool> TrySelectsEntity(Value entity,
+                                         ExecutionBudget* budget);
+    /// Unbounded TrySelectsEntity.
+    bool SelectsEntity(Value entity);
+
+   private:
+    friend class CqEvaluator;
+    Binding(const CqEvaluator& evaluator, const Database& db);
+    /// Decides seed_ against the database.
+    std::optional<bool> Probe(ExecutionBudget* budget);
+
+    const CqEvaluator* evaluator_;
+    const Database* db_;
+    /// Whether the x-free rest maps into the database; nullopt until decided.
+    std::optional<bool> rest_maps_;
+    PreparedHomSearch component_search_;
+    std::vector<std::pair<Value, Value>> seed_;
+  };
+
+  /// Binds the query to `db`. Cheap: the work starts with the first probe.
+  Binding Bind(const Database& db) const;
+
   /// True iff ā ∈ q(D), i.e., (D_q, x̄) → (D, ā).
-  bool Selects(const Database& db, const std::vector<Value>& tuple,
-               const HomOptions& options = {}) const;
+  bool Selects(const Database& db, const std::vector<Value>& tuple) const;
 
   /// For unary queries: true iff e ∈ q(D).
-  bool SelectsEntity(const Database& db, Value entity,
-                     const HomOptions& options = {}) const;
+  bool SelectsEntity(const Database& db, Value entity) const;
 
-  /// Budgeted probe: nullopt when `budget` interrupted the underlying hom
-  /// search before it decided (never read nullopt as "not selected");
-  /// otherwise the definitive membership answer. nullptr = unbounded.
+  /// One-entity budgeted probe; see Binding::TrySelects.
   std::optional<bool> TrySelectsEntity(const Database& db, Value entity,
                                        ExecutionBudget* budget) const;
 
   /// For unary queries: q(D) as a set of entities, in the order of
   /// db.Entities(). If the query lacks an η(x) atom, candidates are all of
   /// dom(D) instead (q(D) ⊆ dom(D)).
-  std::vector<Value> Evaluate(const Database& db,
-                              const HomOptions& options = {}) const;
+  std::vector<Value> Evaluate(const Database& db) const;
 
  private:
   ConjunctiveQuery query_;
-  Database canonical_;
-  std::vector<Value> var_to_value_;
+  /// The canonical database split in two. Both parts intern every value of
+  /// the full canonical database in the same order, so value ids (and
+  /// free_tuple_) mean the same in each.
+  Database component_;
+  Database rest_;
   std::vector<Value> free_tuple_;
   bool has_entity_atom_ = false;
 };

@@ -1,7 +1,9 @@
 #include "cq/homomorphism.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -64,6 +66,13 @@ struct WorkerConfig {
 /// Parallel calls run one HomSearch per worker: the lazy target indexes are
 /// per-worker (never synchronized — they are read/written from the hot
 /// path), while the nogood store, done flag, and node counter are shared.
+///
+/// A HomSearch may Run many times (PreparedHomSearch): the first Run
+/// prepares the seed-independent state — variables, per-fact structure and
+/// the unary-constrained base domains — and every later Run rewinds the
+/// trail back to those base domains instead, keeping every lazy target
+/// index built so far. Nothing is snapshotted: every domain change after
+/// preparation is already on the trail.
 class HomSearch {
  public:
   HomSearch(const Database& from, const Database& to,
@@ -113,6 +122,11 @@ class HomSearch {
     std::vector<DomIndex> refuted;
   };
 
+  /// The seed-independent setup of the first Run. False when some variable
+  /// has no candidate image at all, i.e. no seed can succeed.
+  bool Prepare();
+  /// Restores the post-Prepare state: base domains, nothing assigned.
+  void Rewind();
   void BuildStructures();
   /// Filters every variable's domain through the unary constraints induced
   /// by its (relation, position) occurrences in `from_`.
@@ -251,6 +265,9 @@ class HomSearch {
   std::uint64_t nodes_ = 0;
   std::uint64_t restarts_ = 0;
   std::uint64_t nogoods_recorded_ = 0;
+
+  bool prepared_ = false;
+  bool satisfiable_ = false;  // Prepare()'s verdict, reused by every Run.
 };
 
 HomResult HomSearch::Run(const std::vector<std::pair<Value, Value>>& seed,
@@ -270,38 +287,15 @@ HomResult HomSearch::Run(const std::vector<std::pair<Value, Value>>& seed,
     return result;
   }
 
-  // Variables are the domain elements of `from_`.
-  vars_ = from_.domain();
-  var_of_.assign(from_.num_values(), kNoVar);
-  for (VarIndex i = 0; i < vars_.size(); ++i) var_of_[vars_[i]] = i;
-  to_dom_ = &to_.domain();
-  to_index_ = &to_.domain_index();
-  ndom_ = to_dom_->size();
-  assigned_value_.assign(vars_.size(), kNoValue);
-  assigned_index_.assign(vars_.size(), kNoDomIndex);
-  unassigned_ = vars_.size();
-
-  if (!vars_.empty() && ndom_ == 0) {
-    result.status = HomStatus::kNone;
-    result.nodes = nodes_;
-    return result;
+  if (prepared_) {
+    Rewind();
+  } else {
+    prepared_ = true;
+    satisfiable_ = Prepare();
   }
-
-  BuildStructures();
-
-  if (!ApplyUnaryConstraints()) {
-    FEATSEP_COVERAGE(kHomUnaryWipeout);
+  if (!satisfiable_) {
     result.status = HomStatus::kNone;
-    result.nodes = nodes_;
     return result;
-  }
-
-  prefer_.assign(vars_.size(), kNoDomIndex);
-  for (const auto& [source, image] : options_.prefer) {
-    if (source >= var_of_.size() || var_of_[source] == kNoVar) continue;
-    if (image >= to_index_->size()) continue;
-    DomIndex index = (*to_index_)[image];
-    if (index != kNoDomIndex) prefer_[var_of_[source]] = index;
   }
 
   // Apply the seed as forced assignments.
@@ -365,6 +359,47 @@ HomResult HomSearch::Run(const std::vector<std::pair<Value, Value>>& seed,
     }
   }
   return result;
+}
+
+bool HomSearch::Prepare() {
+  // Variables are the domain elements of `from_`.
+  vars_ = from_.domain();
+  var_of_.assign(from_.num_values(), kNoVar);
+  for (VarIndex i = 0; i < vars_.size(); ++i) var_of_[vars_[i]] = i;
+  to_dom_ = &to_.domain();
+  to_index_ = &to_.domain_index();
+  ndom_ = to_dom_->size();
+  assigned_value_.assign(vars_.size(), kNoValue);
+  assigned_index_.assign(vars_.size(), kNoDomIndex);
+  unassigned_ = vars_.size();
+
+  if (!vars_.empty() && ndom_ == 0) return false;
+
+  BuildStructures();
+
+  if (!ApplyUnaryConstraints()) {
+    FEATSEP_COVERAGE(kHomUnaryWipeout);
+    return false;
+  }
+
+  prefer_.assign(vars_.size(), kNoDomIndex);
+  for (const auto& [source, image] : options_.prefer) {
+    if (source >= var_of_.size() || var_of_[source] == kNoVar) continue;
+    if (image >= to_index_->size()) continue;
+    DomIndex index = (*to_index_)[image];
+    if (index != kNoDomIndex) prefer_[var_of_[source]] = index;
+  }
+  return true;
+}
+
+void HomSearch::Rewind() {
+  UndoTo(0);
+  std::fill(assigned_value_.begin(), assigned_value_.end(), kNoValue);
+  std::fill(assigned_index_.begin(), assigned_index_.end(), kNoDomIndex);
+  unassigned_ = vars_.size();
+  nodes_ = 0;
+  restarts_ = 0;
+  nogoods_recorded_ = 0;
 }
 
 void HomSearch::BuildStructures() {
@@ -978,6 +1013,29 @@ HomResult FindHomomorphism(const Database& from, const Database& to,
                               ? worker_outcome
                               : BudgetOutcome::kBudgetExhausted);
   return result;
+}
+
+/// The search and the options it reads by reference, kept together so that
+/// moving a PreparedHomSearch never moves the options under the search.
+struct PreparedHomSearch::State {
+  State(const Database& from, const Database& to)
+      : search(from, to, options) {}
+  HomOptions options;
+  HomSearch search;
+};
+
+PreparedHomSearch::PreparedHomSearch(const Database& from, const Database& to)
+    : state_(std::make_unique<State>(from, to)) {}
+
+PreparedHomSearch::~PreparedHomSearch() = default;
+PreparedHomSearch::PreparedHomSearch(PreparedHomSearch&&) noexcept = default;
+PreparedHomSearch& PreparedHomSearch::operator=(PreparedHomSearch&&) noexcept =
+    default;
+
+HomResult PreparedHomSearch::Run(
+    const std::vector<std::pair<Value, Value>>& seed, ExecutionBudget* budget) {
+  state_->options.budget = budget;
+  return state_->search.Run(seed, nullptr, WorkerConfig{0, false, false});
 }
 
 bool HomomorphismExists(const Database& from, const Database& to,

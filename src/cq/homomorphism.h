@@ -2,6 +2,7 @@
 #define FEATSEP_CQ_HOMOMORPHISM_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -100,6 +101,34 @@ HomResult FindHomomorphism(
     const Database& from, const Database& to,
     const std::vector<std::pair<Value, Value>>& seed = {},
     const HomOptions& options = {});
+
+/// One homomorphism search from `from` into `to`, prepared once and run for
+/// many seeds — the per-entity probes of one query over one database. The
+/// first Run builds everything that does not depend on the seed: the
+/// source structure, the unary-constrained base domains, and the target
+/// indexes the search builds lazily (allowed-value, support and fact-index
+/// bitsets). Each later Run rewinds to the base domains, re-seeds, and keeps
+/// every target index built so far, so a seed whose image lies outside its
+/// variable's base domain is rejected without a search. Each Run decides
+/// exactly what FindHomomorphism(from, to, seed, {.budget = budget}) would,
+/// with the same node count. Not thread-safe (one per thread); `from` and
+/// `to` must outlive it unmodified.
+class PreparedHomSearch {
+ public:
+  PreparedHomSearch(const Database& from, const Database& to);
+  ~PreparedHomSearch();
+  PreparedHomSearch(PreparedHomSearch&&) noexcept;
+  PreparedHomSearch& operator=(PreparedHomSearch&&) noexcept;
+
+  /// The classic sequential search for a homomorphism extending `seed`,
+  /// charged to `budget` (nullptr = unbounded).
+  HomResult Run(const std::vector<std::pair<Value, Value>>& seed,
+                ExecutionBudget* budget = nullptr);
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 /// Convenience wrapper: true iff a homomorphism extending `seed` exists.
 /// Checked programmer error if a node budget is set and exhausted.

@@ -186,9 +186,10 @@ QbeResult SolveCqmQbe(const QbeInstance& instance, std::size_t m,
         options.num_threads, pending, [&](std::size_t i) {
           const std::size_t index = first + i;
           CqEvaluator evaluator(candidates[index]);
+          CqEvaluator::Binding binding = evaluator.Bind(db);
           for (Value e : instance.positives) {
             std::optional<bool> selects =
-                evaluator.TrySelectsEntity(db, e, options.budget);
+                binding.TrySelectsEntity(e, options.budget);
             if (!selects.has_value()) return false;  // Undecided.
             if (!*selects) {
               rejected[i].store(1, std::memory_order_relaxed);
@@ -197,7 +198,7 @@ QbeResult SolveCqmQbe(const QbeInstance& instance, std::size_t m,
           }
           for (Value b : instance.negatives) {
             std::optional<bool> selects =
-                evaluator.TrySelectsEntity(db, b, options.budget);
+                binding.TrySelectsEntity(b, options.budget);
             if (!selects.has_value()) return false;  // Undecided.
             if (*selects) {
               rejected[i].store(1, std::memory_order_relaxed);

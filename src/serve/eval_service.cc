@@ -310,9 +310,10 @@ std::vector<std::shared_ptr<const FeatureAnswer>> EvalService::Resolve(
           }
           std::size_t begin = (task % blocks_per_feature) * block;
           std::size_t end = std::min(begin + block, entities.size());
+          CqEvaluator::Binding binding = miss.evaluator->Bind(db);
           for (std::size_t e = begin; e < end; ++e) {
             std::optional<bool> selects =
-                miss.evaluator->TrySelectsEntity(db, entities[e], budget);
+                binding.TrySelectsEntity(entities[e], budget);
             if (!selects.has_value()) {
               incomplete[m].store(true, std::memory_order_relaxed);
               cancelled.fetch_add(1, std::memory_order_relaxed);

@@ -96,7 +96,9 @@ struct ServeStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
   std::uint64_t features_evaluated = 0;  ///< Kernel-evaluated (cache misses).
-  std::uint64_t entity_evaluations = 0;  ///< Individual SelectsEntity calls.
+  /// Matrix cells of the features counted in features_evaluated (each
+  /// feature adds its database's entity count); aborted features add none.
+  std::uint64_t entity_evaluations = 0;
   /// Work items (feature × entity-block shards) abandoned because the
   /// request's ExecutionBudget tripped mid-batch.
   std::uint64_t cancelled_shards = 0;

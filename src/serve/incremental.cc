@@ -184,10 +184,11 @@ DeltaMaintenance IncrementalMaintainer::ApplyDelta(const Database& db_after,
       // The entity left η(D); its answer-set membership goes with it.
       names.erase(db_after.value_name(delta.args[0]));
     }
+    CqEvaluator::Binding binding = evaluators_[i]->Bind(db_after);
     for (Value e : suspects) {
       const std::string& name = db_after.value_name(e);
       const bool was = previous->SelectsName(name);
-      const bool now = evaluators_[i]->SelectsEntity(db_after, e);
+      const bool now = binding.SelectsEntity(e);
       ++stats_.entities_rechecked;
       if (now != was) {
         ++stats_.cells_changed;

@@ -408,12 +408,12 @@ Result<bool> EvaluateClaimedShard(const std::string& job_dir,
       std::min(begin + job.entity_block, job.entities.size());
 
   CqEvaluator evaluator(job.features[feature]);
+  CqEvaluator::Binding binding = evaluator.Bind(*job.db);
   std::string flags;
   flags.reserve(end - begin);
   const std::string lease = LeasePath(job_dir, shard).string();
   for (std::size_t e = begin; e < end; ++e) {
-    flags.push_back(evaluator.SelectsEntity(*job.db, job.entities[e]) ? '+'
-                                                                      : '-');
+    flags.push_back(binding.SelectsEntity(job.entities[e]) ? '+' : '-');
     // Renew the lease so a long shard is not reclaimed under a live worker
     // (entity evaluations are the NP-hard unit of progress). A faulted
     // renewal is non-fatal — the next entity retries — but counted: enough
@@ -560,9 +560,9 @@ Result<ShardMergeResult> CoordinateShardJob(
     const std::size_t end =
         std::min(begin + job.entity_block, job.entities.size());
     CqEvaluator evaluator(job.features[feature]);
+    CqEvaluator::Binding binding = evaluator.Bind(*job.db);
     for (std::size_t e = begin; e < end; ++e) {
-      merge.flags[feature][e] =
-          evaluator.SelectsEntity(*job.db, job.entities[e]) ? 1 : 0;
+      merge.flags[feature][e] = binding.SelectsEntity(job.entities[e]) ? 1 : 0;
     }
   };
 

@@ -225,6 +225,28 @@ PropertyCheck CheckEvaluationAgainstReference(const ConjunctiveQuery& query,
            << WriteDatabase(db);
     return Violation("eval-vs-reference", detail.str());
   }
+  // The whole-answer-set path (split query, one prepared search re-seeded
+  // per candidate) against one fresh search of the full canonical database
+  // per candidate. Every answer lies in dom(D), so probing all of dom(D)
+  // covers the entity candidates of queries with η(x) as well.
+  auto [canonical, var_to_value] = query.CanonicalDatabase();
+  const Value x = var_to_value[query.free_variable()];
+  std::vector<char> in_fast(db.num_values(), 0);
+  for (Value v : fast) in_fast[v] = 1;
+  for (Value candidate : db.domain()) {
+    const bool selected =
+        FindHomomorphism(canonical, db, {{x, candidate}}).status ==
+        HomStatus::kFound;
+    if (selected != (in_fast[candidate] != 0)) {
+      std::ostringstream detail;
+      detail << query.ToString() << "\non " << db.value_name(candidate)
+             << ": whole-answer-set q(D) = " << DescribeValues(db, fast)
+             << ", fresh per-candidate search says "
+             << (selected ? "selected" : "not selected") << "\nD:\n"
+             << WriteDatabase(db);
+      return Violation("eval-vs-per-candidate", detail.str());
+    }
+  }
   std::optional<DecomposedEvaluator> plan =
       DecomposedEvaluator::Create(query, max_width);
   if (plan.has_value()) {

@@ -46,8 +46,11 @@ PropertyCheck CheckHomAgainstReference(
 PropertyCheck CheckHomComposition(const Database& a, const Database& b,
                                   const Database& c);
 
-/// Unary-CQ evaluation: CqEvaluator vs the reference oracle vs (when a
-/// width-≤`max_width` plan exists) the decomposition-guided evaluator.
+/// Unary-CQ evaluation: CqEvaluator vs the reference oracle, vs one fresh
+/// FindHomomorphism of the full canonical database per dom(D) candidate
+/// (the per-entity path the whole-answer-set evaluation replaced), and
+/// (when a width-≤`max_width` plan exists) vs the decomposition-guided
+/// evaluator.
 PropertyCheck CheckEvaluationAgainstReference(const ConjunctiveQuery& query,
                                               const Database& db,
                                               std::size_t max_width = 2);

@@ -256,7 +256,7 @@ TEST(CancellationTest, CqmQbeInterruptedSweepResumesToUninterruptedAnswer) {
   ASSERT_EQ(baseline.outcome, BudgetOutcome::kCompleted);
 
   bool interrupted_once = false;
-  for (std::uint64_t limit : {3ull, 10ull, 30ull, 100ull, 300ull}) {
+  for (std::uint64_t limit : {1ull, 3ull, 10ull, 30ull, 100ull, 300ull}) {
     ExecutionBudget budget = ExecutionBudget::WithStepLimit(limit);
     QbeOptions options;
     options.budget = &budget;

@@ -1,21 +1,30 @@
 #include "serve/eval_service.h"
 
 #include <memory>
+#include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/separability.h"
 #include "core/statistic.h"
+#include "cq/enumeration.h"
 #include "cq/evaluation.h"
+#include "cq/homomorphism.h"
+#include "io/cq_parser.h"
 #include "qbe/qbe.h"
 #include "relational/training_database.h"
 #include "serve/incremental.h"
 #include "test_util.h"
+#include "util/budget.h"
+#include "workload/generators.h"
 
 namespace featsep {
 namespace {
 
+using ::featsep::testing::AddCycle;
 using ::featsep::testing::AddEdge;
 using ::featsep::testing::AddEntity;
 using ::featsep::testing::GraphSchema;
@@ -315,6 +324,173 @@ TEST(CqEvaluatorReuseTest, OneEvaluatorAcrossCollidingDatabases) {
     EXPECT_FALSE(evaluator.SelectsEntity(db1, b1));
     EXPECT_FALSE(evaluator.SelectsEntity(db2, a2));
   }
+}
+
+ConjunctiveQuery ParseGraphCq(const std::string& text) {
+  auto q = ParseCq(GraphSchema(), text);
+  EXPECT_TRUE(q.ok()) << q.error().message();
+  return q.value();
+}
+
+/// e ∈ q(D) by one fresh search of q's full canonical database — the
+/// per-entity path the whole-answer-set evaluation replaced.
+bool FreshProbe(const ConjunctiveQuery& q, const Database& db, Value e) {
+  auto [canonical, var_to_value] = q.CanonicalDatabase();
+  return FindHomomorphism(canonical, db, {{var_to_value[q.free_variable()], e}})
+             .status == HomStatus::kFound;
+}
+
+TEST(CqEvaluatorReuseTest, FailingXFreePartEmptiesTheAnswerWithoutSearch) {
+  // E(y, y) needs a self-loop, and this database has none.
+  CqEvaluator evaluator(ParseGraphCq("q(x) :- Eta(x), E(x, z), E(y, y)"));
+  Database db(GraphSchema());
+  for (const char* name : {"a", "b", "c"}) AddEntity(db, name);
+  AddEdge(db, "a", "b");
+  AddEdge(db, "b", "c");
+  AddEdge(db, "c", "a");
+  EXPECT_TRUE(evaluator.Evaluate(db).empty());
+
+  ExecutionBudget budget;
+  CqEvaluator::Binding binding = evaluator.Bind(db);
+  const std::vector<Value> entities = db.Entities();
+  EXPECT_EQ(binding.TrySelectsEntity(entities[0], &budget),
+            std::optional<bool>(false));
+  // Once the rest is refuted, no entity is searched: a cancelled budget
+  // charges nothing and still gets the definitive answer.
+  const std::uint64_t steps = budget.steps();
+  budget.Cancel();
+  for (Value e : entities) {
+    EXPECT_EQ(binding.TrySelectsEntity(e, &budget), std::optional<bool>(false))
+        << db.value_name(e);
+  }
+  EXPECT_EQ(budget.steps(), steps);
+}
+
+TEST(CqEvaluatorReuseTest, HoldingXFreePartLeavesTheXComponentAnswer) {
+  CqEvaluator with_rest(ParseGraphCq("q(x) :- Eta(x), E(x, z), E(y, y)"));
+  CqEvaluator component(ParseGraphCq("q(x) :- Eta(x), E(x, z)"));
+  Database db(GraphSchema());
+  for (const char* name : {"a", "b", "c", "d"}) AddEntity(db, name);
+  AddEdge(db, "a", "b");
+  AddEdge(db, "c", "a");
+  AddEdge(db, "u", "u");  // The self-loop the rest needs, off the entities.
+  const std::vector<Value> expected = component.Evaluate(db);
+  EXPECT_EQ(expected.size(), 2u);  // a and c.
+  EXPECT_EQ(with_rest.Evaluate(db), expected);
+  for (Value e : db.Entities()) {
+    EXPECT_EQ(with_rest.SelectsEntity(db, e),
+              FreshProbe(with_rest.query(), db, e))
+        << db.value_name(e);
+  }
+}
+
+TEST(CqEvaluatorReuseTest, FreeVariableInNoAtomOverANonEntitySchema) {
+  Schema plain;
+  RelationId e_rel = plain.AddRelation("E", 2);
+  auto schema = std::make_shared<const Schema>(std::move(plain));
+  // q(x) :- E(y, y): x occurs in no atom, so q(D) is all of dom(D) when D
+  // has a self-loop and empty otherwise.
+  ConjunctiveQuery q(schema);
+  q.AddFreeVariable(q.NewVariable("x"));
+  Variable y = q.NewVariable("y");
+  q.AddAtom(e_rel, {y, y});
+  CqEvaluator evaluator(q);
+
+  Database loop(schema);
+  loop.AddFact("E", {"a", "b"});
+  loop.AddFact("E", {"b", "b"});
+  EXPECT_EQ(evaluator.Evaluate(loop), loop.domain());
+  for (Value v : loop.domain()) {
+    EXPECT_TRUE(FreshProbe(q, loop, v));
+  }
+
+  Database no_loop(schema);
+  no_loop.AddFact("E", {"a", "b"});
+  EXPECT_TRUE(evaluator.Evaluate(no_loop).empty());
+  for (Value v : no_loop.domain()) {
+    EXPECT_FALSE(evaluator.SelectsEntity(no_loop, v));
+  }
+}
+
+TEST(CqEvaluatorReuseTest, EveryCq2FeatureMatchesFreshProbes) {
+  RandomGraphParams params;
+  params.num_entities = 8;
+  params.num_background_nodes = 24;
+  params.num_background_edges = 40;
+  params.seed = 5;
+  auto training = RandomPlantedGraph(params);
+  const Database& db = training->database();
+  // Entities forward, then backward, so the prepared search is rewound
+  // after found and after refuted probes alike.
+  const std::vector<Value> entities = db.Entities();
+  std::vector<Value> order = entities;
+  order.insert(order.end(), entities.rbegin(), entities.rend());
+  const std::set<std::string> disconnected = {
+      "q(x) :- Eta(x), E(y1, y2), E(y2, y1)",
+      "q(x) :- Eta(x), Eta(y1), E(y2, y2)",
+      "q(x) :- Eta(x), E(y1, y2), E(y2, y2)"};
+  std::size_t selected = 0;
+  std::size_t disconnected_seen = 0;
+  for (const ConjunctiveQuery& feature :
+       EnumerateFeatureQueries(db.schema_ptr(), 2)) {
+    disconnected_seen += disconnected.count(feature.ToString());
+    CqEvaluator evaluator(feature);
+    CqEvaluator::Binding binding = evaluator.Bind(db);
+    for (Value e : order) {
+      const bool fresh = FreshProbe(feature, db, e);
+      EXPECT_EQ(binding.SelectsEntity(e), fresh)
+          << feature.ToString() << " on " << db.value_name(e);
+      selected += fresh ? 1 : 0;
+    }
+  }
+  EXPECT_GT(selected, 0u);
+  EXPECT_EQ(disconnected_seen, disconnected.size());
+}
+
+TEST(CqEvaluatorReuseTest, BudgetTrippingInTheXFreePartIsNeverAPartialAnswer) {
+  // The x-free rest is a 2-cycle: deciding it takes at least two search
+  // nodes, so a one-step budget trips inside it.
+  ConjunctiveQuery q =
+      ParseGraphCq("q(x) :- Eta(x), E(x, z), E(y1, y2), E(y2, y1)");
+  Database db(GraphSchema());
+  for (const char* name : {"a", "b", "c"}) AddEntity(db, name);
+  AddEdge(db, "a", "u");
+  AddEdge(db, "c", "u");
+  AddCycle(db, "w", 2);
+  std::vector<Value> expected;
+  for (Value e : db.Entities()) {
+    if (FreshProbe(q, db, e)) expected.push_back(e);
+  }
+  ASSERT_EQ(expected.size(), 2u);
+
+  CqEvaluator evaluator(q);
+  CqEvaluator::Binding binding = evaluator.Bind(db);
+  ExecutionBudget tripping = ExecutionBudget::WithStepLimit(1);
+  for (Value e : db.Entities()) {
+    EXPECT_EQ(binding.TrySelectsEntity(e, &tripping), std::nullopt)
+        << db.value_name(e);
+  }
+  EXPECT_EQ(tripping.outcome(), BudgetOutcome::kBudgetExhausted);
+  // The same binding retries the undecided rest under a fresh budget.
+  ExecutionBudget fresh;
+  std::vector<Value> retried;
+  for (Value e : db.Entities()) {
+    std::optional<bool> selects = binding.TrySelectsEntity(e, &fresh);
+    ASSERT_TRUE(selects.has_value());
+    if (*selects) retried.push_back(e);
+  }
+  EXPECT_EQ(retried, expected);
+
+  // Through the service: the aborted feature is answered by nothing and
+  // cached nowhere, and the retry answers in full.
+  EvalService service;
+  ExecutionBudget tripping_again = ExecutionBudget::WithStepLimit(1);
+  EXPECT_EQ(service.TryResolve({q}, db, &tripping_again)[0], nullptr);
+  auto answer = service.TryResolve({q}, db, nullptr)[0];
+  ASSERT_NE(answer, nullptr);
+  EXPECT_EQ(answer->size(), expected.size());
+  for (Value e : expected) EXPECT_TRUE(answer->Selects(db, e));
+  EXPECT_EQ(service.stats().evaluation_retries, 1u);
 }
 
 }  // namespace
