@@ -31,18 +31,7 @@ CqmApxSepResult DecideCqmApxSep(const TrainingDatabase& training,
       epsilon * static_cast<double>(training.Entities().size());
   result.separable_with_error = static_cast<double>(best.errors) <= budget;
 
-  // Prune zero-weight features for the returned model.
-  std::vector<ConjunctiveQuery> used;
-  std::vector<Rational> weights;
-  for (std::size_t i = 0; i < all_features.dimension(); ++i) {
-    if (!best.classifier.weights()[i].is_zero()) {
-      used.push_back(all_features.feature(i));
-      weights.push_back(best.classifier.weights()[i]);
-    }
-  }
-  result.model = SeparatorModel{
-      Statistic(std::move(used)),
-      LinearClassifier(best.classifier.threshold(), std::move(weights))};
+  result.model = PruneZeroWeights(all_features, best.classifier);
   FEATSEP_CHECK_EQ(result.model->TrainingErrors(training), best.errors);
   return result;
 }

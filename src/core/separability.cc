@@ -121,18 +121,7 @@ CqmSepResult DecideCqmSep(const TrainingDatabase& training, std::size_t m,
     return result;
   }
 
-  // Prune zero-weight features for a compact model.
-  std::vector<ConjunctiveQuery> used;
-  std::vector<Rational> weights;
-  for (std::size_t i = 0; i < all_features.dimension(); ++i) {
-    if (!classifier->weights()[i].is_zero()) {
-      used.push_back(all_features.feature(i));
-      weights.push_back(classifier->weights()[i]);
-    }
-  }
-  SeparatorModel model{Statistic(std::move(used)),
-                       LinearClassifier(classifier->threshold(),
-                                        std::move(weights))};
+  SeparatorModel model = PruneZeroWeights(all_features, *classifier);
   FEATSEP_CHECK_EQ(model.TrainingErrors(training), 0u)
       << "generated CQ[m] model misclassifies a training entity";
   result.separable = true;

@@ -1,5 +1,6 @@
 #include "core/statistic.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -132,6 +133,23 @@ std::size_t SeparatorModel::TrainingErrors(
     if (predicted.Get(e) != training.label(e)) ++errors;
   }
   return errors;
+}
+
+SeparatorModel PruneZeroWeights(const Statistic& features,
+                                const LinearClassifier& classifier) {
+  std::vector<ConjunctiveQuery> used;
+  std::vector<Rational> weights;
+  const std::size_t carried =
+      std::min(features.dimension(), classifier.weights().size());
+  for (std::size_t i = 0; i < carried; ++i) {
+    if (!classifier.weights()[i].is_zero()) {
+      used.push_back(features.feature(i));
+      weights.push_back(classifier.weights()[i]);
+    }
+  }
+  return SeparatorModel{
+      Statistic(std::move(used)),
+      LinearClassifier(classifier.threshold(), std::move(weights))};
 }
 
 TrainingCollection MakeTrainingCollection(const Statistic& statistic,

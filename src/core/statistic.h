@@ -95,6 +95,13 @@ struct SeparatorModel {
   std::size_t TrainingErrors(const TrainingDatabase& training) const;
 };
 
+/// The model `classifier` induces over `features`, pruned to the features
+/// with a nonzero weight. A weight the classifier does not carry reads as
+/// zero: on a training database with no entities the LP solvers return a
+/// classifier with no weights, and the pruned model is empty.
+SeparatorModel PruneZeroWeights(const Statistic& features,
+                                const LinearClassifier& classifier);
+
 /// The training collection (Π^D(e), λ(e)) for all entities of the training
 /// database, in the order of Entities().
 TrainingCollection MakeTrainingCollection(const Statistic& statistic,

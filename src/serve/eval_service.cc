@@ -509,20 +509,6 @@ void EvalService::Republish(std::uint64_t old_digest, std::uint64_t new_digest,
   }
 }
 
-void EvalService::DropCached(std::uint64_t digest, const std::string& feature) {
-  CacheKey key{digest, feature};
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      lru_.erase(it->second);
-      cache_.erase(it);
-    }
-    aborted_keys_.erase(key);
-  }
-  if (disk_ != nullptr && DiskTierAllowed()) disk_->Remove(digest, feature);
-}
-
 void EvalService::MaybeSweepDisk() {
   if (disk_ == nullptr || options_.disk_cache_max_bytes == 0) return;
   // No GC against a sick disk: while the breaker is open the sweep would

@@ -50,14 +50,6 @@ struct ServeOptions {
   /// Shard-mode lease: a shard claimed by a worker that died is reclaimed
   /// and re-run after this long.
   std::chrono::milliseconds shard_lease{10000};
-  /// Delta maintenance policy (serve/incremental.h). True: after a database
-  /// mutation, warm cache entries are *patched* in place — only entities the
-  /// delta can affect are re-evaluated — and re-published under the new
-  /// digest. False: warm entries touched by a delta are simply dropped and
-  /// the next read recomputes cold. Both are bit-identical to full
-  /// recompute; patching trades a small maintenance cost on the write path
-  /// for warm reads right after every write.
-  bool incremental = true;
   /// Disk-tier GC budget in bytes: when the durable cache directory exceeds
   /// this, EvalService opportunistically sweeps oldest-mtime entries after
   /// write-behind (DiskResultCache::Sweep). 0 = unlimited, never sweep.
@@ -247,10 +239,6 @@ class EvalService {
   void Republish(std::uint64_t old_digest, std::uint64_t new_digest,
                  const std::string& feature,
                  std::shared_ptr<const FeatureAnswer> answer);
-
-  /// Drops the (digest, feature) entry from both tiers (invalidate-only
-  /// maintenance, ServeOptions::incremental = false).
-  void DropCached(std::uint64_t digest, const std::string& feature);
 
  private:
   using CacheKey = std::pair<std::uint64_t, std::string>;

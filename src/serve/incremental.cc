@@ -145,7 +145,6 @@ DeltaMaintenance IncrementalMaintainer::ApplyDelta(const Database& db_after,
   ++stats_.deltas_applied;
   out.entity_set_changed = delta.entity_fact;
 
-  const bool patch = service_->options().incremental;
   std::unordered_set<std::string> changed;
   // An η(e) delta changes e's row existence itself.
   if (delta.entity_fact) changed.insert(db_after.value_name(delta.args[0]));
@@ -171,14 +170,6 @@ DeltaMaintenance IncrementalMaintainer::ApplyDelta(const Database& db_after,
     const std::vector<Value> suspects =
         AffectedEntities(db_after, delta, features_[i], previous.get());
     stats_.entities_screened_out += entities.size() - suspects.size();
-    if (!patch) {
-      // Invalidate-only mode: record the screen's superset as potentially
-      // changed, then drop the stale entry from both tiers.
-      for (Value e : suspects) changed.insert(db_after.value_name(e));
-      service_->DropCached(delta.old_digest, fstr);
-      ++stats_.features_dropped;
-      continue;
-    }
     std::unordered_set<std::string> names = previous->names();
     if (delta.entity_fact && delta.kind == Delta::Kind::kRemove) {
       // The entity left η(D); its answer-set membership goes with it.

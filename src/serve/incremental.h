@@ -28,8 +28,6 @@ struct IncrementalStats {
   std::uint64_t features_patched = 0;
   /// Entries cold in both tiers — nothing to maintain, next read recomputes.
   std::uint64_t features_skipped = 0;
-  /// Warm entries dropped instead of patched (ServeOptions::incremental off).
-  std::uint64_t features_dropped = 0;
   /// Kernel probes spent re-evaluating screened-in entities.
   std::uint64_t entities_rechecked = 0;
   /// (feature × entity) cells the screens proved unaffected — the work a
@@ -46,8 +44,9 @@ struct DeltaMaintenance {
   std::uint64_t new_digest = 0;
   bool entity_set_changed = false;
   /// Names of entities whose feature row may differ from before the delta
-  /// (a superset: exact flips in patch mode, the screen's overapproximation
-  /// in drop mode), plus any entity that entered or left η(D). Sorted.
+  /// (a superset: exact flips for warm features, the screen's
+  /// overapproximation for cold ones), plus any entity that entered or left
+  /// η(D). Sorted.
   std::vector<std::string> changed_entities;
 };
 
@@ -83,12 +82,11 @@ std::vector<Value> AffectedEntities(const Database& db_after,
 /// Database mutation returned, re-keys every warm cached answer for the
 /// maintained feature set from the old digest to the new one, so stale
 /// entries can never be served and warm entries stay warm across writes.
-/// With ServeOptions::incremental (the default) entries are *patched* in
-/// place — only screened-in entities are re-evaluated — and re-published in
-/// both tiers; with it off, warm entries are dropped and the next read
-/// recomputes cold. Both policies are bit-identical to full recompute; the
-/// `--config incremental` fuzz driver enforces this against a
-/// fresh-database, cold-service oracle at every step.
+/// Entries are *patched* in place — only screened-in entities are
+/// re-evaluated — and re-published in both tiers. The result is
+/// bit-identical to full recompute; the `--config incremental` fuzz driver
+/// enforces this against a fresh-database, cold-service oracle at every
+/// step.
 ///
 /// Not thread-safe: maintenance is part of the mutation epoch (see the
 /// Database mutation contract) — apply the delta, then resume serving.

@@ -128,20 +128,11 @@ std::vector<std::string> Tokens(const std::string& rest) {
 std::string SerializeFuzzInstance(const FuzzInstance& instance) {
   std::ostringstream out;
   out << "config " << FuzzConfigName(instance.config) << "\n";
-  if (instance.config == FuzzConfig::kServe ||
-      instance.config == FuzzConfig::kIncremental ||
-      instance.config == FuzzConfig::kCrashIo) {
-    out << "k " << instance.k << "\n";
-    out << "m " << instance.m << "\n";
-  }
-  if (instance.config == FuzzConfig::kCoverGame) {
-    out << "k " << instance.k << "\n";
-  }
-  if (instance.config == FuzzConfig::kQbe) out << "m " << instance.m << "\n";
-  if (instance.config == FuzzConfig::kDimension) {
-    out << "ell " << instance.ell << "\n";
-  }
-  if (instance.config == FuzzConfig::kFaults) {
+  const unsigned scalars = FuzzConfigSpecOf(instance.config).scalars;
+  if (scalars & kLineK) out << "k " << instance.k << "\n";
+  if (scalars & kLineM) out << "m " << instance.m << "\n";
+  if (scalars & kLineEll) out << "ell " << instance.ell << "\n";
+  if (scalars & kLineFault) {
     out << "fault " << instance.fault_site << " "
         << static_cast<unsigned>(instance.fault_kind) << " "
         << instance.fault_visit << "\n";
@@ -203,18 +194,17 @@ Result<FuzzInstance> DeserializeFuzzInstance(std::string_view text) {
   FuzzInstance instance;
   instance.config = *config;
 
-  auto require_db_a = [&]() -> Result<bool> {
-    if (!instance.db_a.has_value()) {
-      return parser.At("directive needs a [db_a] section first");
-    }
-    return true;
-  };
-
   while (parser.NextLine()) {
     const std::string& line = parser.line;
     auto starts = [&](const char* prefix) {
       return line.rfind(prefix, 0) == 0;
     };
+    // Value-referencing directives resolve names against db_a.
+    if ((starts("query") || starts("frozen ") || starts("positives ") ||
+         starts("negatives ") || starts("label ")) &&
+        !instance.db_a.has_value()) {
+      return parser.At("directive needs a [db_a] section first");
+    }
     if (line == "[db_a]" || line == "[db_b]" || line == "[db_c]") {
       // ParseDbSection overwrites parser.line (and thus `line`), so pin the
       // section name first.
@@ -231,8 +221,6 @@ Result<FuzzInstance> DeserializeFuzzInstance(std::string_view text) {
       }
     } else if (starts("query2 ") || starts("query ")) {
       bool second = starts("query2 ");
-      Result<bool> ok = require_db_a();
-      if (!ok.ok()) return ok.error();
       Result<ConjunctiveQuery> query = ParseCq(
           instance.db_a->schema_ptr(), line.substr(second ? 7 : 6));
       if (!query.ok()) return parser.At(query.error().message());
@@ -261,8 +249,6 @@ Result<FuzzInstance> DeserializeFuzzInstance(std::string_view text) {
       instance.hom_seed.emplace_back(source.value(), image.value());
     } else if (starts("frozen ") || starts("positives ") ||
                starts("negatives ")) {
-      Result<bool> ok = require_db_a();
-      if (!ok.ok()) return ok.error();
       std::size_t space = line.find(' ');
       std::vector<Value>* target =
           starts("frozen ") ? &instance.frozen
@@ -280,8 +266,6 @@ Result<FuzzInstance> DeserializeFuzzInstance(std::string_view text) {
         target->push_back(value.value());
       }
     } else if (starts("label ")) {
-      Result<bool> ok = require_db_a();
-      if (!ok.ok()) return ok.error();
       std::vector<std::string> tokens = Tokens(line.substr(6));
       if (tokens.size() != 2) return parser.At("label wants value and sign");
       if (!tokens[0].empty() && tokens[0][0] != '#' &&

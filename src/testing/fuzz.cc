@@ -124,19 +124,15 @@ FuzzReport RunReplay(const FuzzOptions& options, std::ostream* progress) {
     FuzzFailure failure;
     failure.iteration = report.iterations - 1;
     failure.reproduce = ReproduceReplay(path);
-    if (!in.good() && text.str().empty()) {
-      failure.config = "replay";
-      failure.property = "corpus/unreadable";
-      failure.detail = "cannot read " + path;
-      StreamFailure(failure, progress);
-      report.failures.push_back(std::move(failure));
-      continue;
-    }
     Result<FuzzInstance> instance = DeserializeFuzzInstance(text.str());
     if (!instance.ok()) {
+      const bool unreadable = !in.good() && text.str().empty();
       failure.config = "replay";
-      failure.property = "corpus/unparseable";
-      failure.detail = path + ": " + instance.error().message();
+      failure.property =
+          unreadable ? "corpus/unreadable" : "corpus/unparseable";
+      failure.detail = unreadable
+                           ? "cannot read " + path
+                           : path + ": " + instance.error().message();
       StreamFailure(failure, progress);
       report.failures.push_back(std::move(failure));
       continue;
@@ -157,39 +153,6 @@ FuzzReport RunReplay(const FuzzOptions& options, std::ostream* progress) {
 }
 
 }  // namespace
-
-const char* FuzzConfigName(FuzzConfig config) {
-  switch (config) {
-    case FuzzConfig::kHom: return "hom";
-    case FuzzConfig::kEval: return "eval";
-    case FuzzConfig::kContainment: return "containment";
-    case FuzzConfig::kCore: return "core";
-    case FuzzConfig::kGhw: return "ghw";
-    case FuzzConfig::kSep: return "sep";
-    case FuzzConfig::kQbe: return "qbe";
-    case FuzzConfig::kCoverGame: return "covergame";
-    case FuzzConfig::kDimension: return "dimension";
-    case FuzzConfig::kLinsep: return "linsep";
-    case FuzzConfig::kFaults: return "faults";
-    case FuzzConfig::kServe: return "serve";
-    case FuzzConfig::kIncremental: return "incremental";
-    case FuzzConfig::kCrashIo: return "crashio";
-    case FuzzConfig::kMixed: return "mixed";
-  }
-  return "unknown";
-}
-
-std::optional<FuzzConfig> ParseFuzzConfig(std::string_view name) {
-  for (FuzzConfig config :
-       {FuzzConfig::kHom, FuzzConfig::kEval, FuzzConfig::kContainment,
-        FuzzConfig::kCore, FuzzConfig::kGhw, FuzzConfig::kSep,
-        FuzzConfig::kQbe, FuzzConfig::kCoverGame, FuzzConfig::kDimension,
-        FuzzConfig::kLinsep, FuzzConfig::kFaults, FuzzConfig::kServe,
-        FuzzConfig::kIncremental, FuzzConfig::kCrashIo, FuzzConfig::kMixed}) {
-    if (name == FuzzConfigName(config)) return config;
-  }
-  return std::nullopt;
-}
 
 FuzzReport RunFuzz(const FuzzOptions& options, std::ostream* progress) {
   if (!options.replay_paths.empty()) return RunReplay(options, progress);

@@ -41,35 +41,22 @@ enum class FuzzConfig {
   kCoverGame,    ///< Existential k-cover game metamorphic laws.
   kDimension,    ///< Sep[ℓ] monotonicity + Theorem 3.2 agreement + witness.
   kLinsep,       ///< Simplex / separability LP vs Fourier–Motzkin reference.
-  kFaults,       ///< Fault-injection robustness: cancellation/timeout/OOM at
-                 ///< a chosen kernel event must never poison a cache or change
-                 ///< the answer of a completed or resumed run.
-  kServe,        ///< Async serve front-end: seeded random interleavings of
-                 ///< Submit/poll/cancel/pause against the serial evaluation
-                 ///< path as oracle — every completed answer bit-identical.
-  kIncremental,  ///< Delta maintenance: seeded random insert/delete/relabel
-                 ///< traces on a live (Database, EvalService,
-                 ///< IncrementalMaintainer) stack, cross-checked at every
-                 ///< step against a permanently-naive full-recompute oracle
-                 ///< (fresh database + cold service) for matrices, digests,
-                 ///< and separability verdicts.
-  kCrashIo,      ///< Crash-recovery fuzzing of the durable tier: seeded
-                 ///< filesystem fault schedules (EIO/ENOSPC, torn writes,
-                 ///< partial scans, kill-at-a-random-I/O-point then recover)
-                 ///< against the disk cache, the breaker-gated EvalService,
-                 ///< and the shard protocol. Corrupt or torn entries are
-                 ///< never trusted, completed answers stay bit-identical to
-                 ///< the serial oracle, no shard job is lost, and serving
-                 ///< keeps working (degraded) while the disk is sick.
-  kMixed,        ///< Per-iteration uniform choice among the above (kFaults,
-                 ///< kServe, kIncremental, and kCrashIo excluded — they
-                 ///< re-run the engines several times per instance / spin up
-                 ///< dispatcher threads / touch the real filesystem, and are
-                 ///< smoke-tested separately).
+  kFaults,       ///< Injected cancellation/timeout/OOM never poisons a cache
+                 ///< or changes an answer (CheckFaultInjectionProperties).
+  kServe,        ///< Async front-end interleavings vs the serial path.
+  kIncremental,  ///< Insert/remove/relabel traces vs full recompute.
+  kCrashIo,      ///< Durable tier under filesystem faults and crashes.
+  kMixed,        ///< Per-iteration uniform choice among the configs whose
+                 ///< table row sets `mixed` (FuzzConfigSpec, instance.h).
 };
 
+/// Names and the config list come from the config table (instance.h). The
+/// generation stream is seeded with config + 1, so configs never move and
+/// new ones go before kMixed.
 const char* FuzzConfigName(FuzzConfig config);
 std::optional<FuzzConfig> ParseFuzzConfig(std::string_view name);
+/// Every concrete config (kMixed excluded), in table order.
+std::vector<FuzzConfig> AllFuzzConfigs();
 
 struct FuzzOptions {
   std::uint64_t seed = 1;

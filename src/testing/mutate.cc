@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "relational/schema.h"
-#include "testing/coverage.h"
 #include "testing/shrink.h"
 
 namespace featsep {
@@ -61,8 +60,7 @@ void AddRandomFact(Database* db, WorkloadRng& rng) {
 
 void RemoveRandomFact(Database* db, WorkloadRng& rng) {
   if (db->size() == 0) return;
-  std::size_t victim = rng.Below(db->size());
-  *db = RewriteFacts(*db, [&](std::size_t i, Fact*) { return i != victim; });
+  *db = WithoutFact(*db, rng.Below(db->size()));
 }
 
 void MergeRandomValues(Database* db, WorkloadRng& rng) {
@@ -230,7 +228,7 @@ FuzzInstance MutateFuzzInstance(const FuzzInstance& original,
   for (std::size_t edit = 0; edit < edits; ++edit) {
     // Operators applicable to the instance's current shape. Rebuilt every
     // round: an edit can change which operators make sense.
-    std::vector<std::function<void()>> ops;
+    MutateOps ops;
     auto db_ops = [&](std::optional<Database>* db) {
       if (!db->has_value()) return;
       Database* target = &**db;
@@ -252,7 +250,7 @@ FuzzInstance MutateFuzzInstance(const FuzzInstance& original,
     };
     query_ops(&instance.query);
     query_ops(&instance.query2);
-    if (instance.db_a.has_value() && instance.config != FuzzConfig::kLinsep) {
+    if (instance.db_a.has_value()) {
       ops.push_back([&] { WidenSchema(&instance, rng); });
     }
     if (!instance.labels.empty()) {
@@ -262,144 +260,8 @@ FuzzInstance MutateFuzzInstance(const FuzzInstance& original,
         label = -label;
       });
     }
-    if (instance.config == FuzzConfig::kQbe && instance.db_a.has_value()) {
-      ops.push_back([&] {
-        // Move an entity between S⁺, S⁻, and unlabeled.
-        std::vector<Value> entities = instance.db_a->Entities();
-        if (entities.empty()) return;
-        Value e = entities[rng.Below(entities.size())];
-        auto drop = [&](std::vector<Value>* set) {
-          set->erase(std::remove(set->begin(), set->end(), e), set->end());
-        };
-        drop(&instance.positives);
-        drop(&instance.negatives);
-        switch (rng.Below(3)) {
-          case 0: instance.positives.push_back(e); break;
-          case 1: instance.negatives.push_back(e); break;
-          default: break;
-        }
-      });
-      ops.push_back([&] { instance.m = instance.m == 1 ? 2 : 1; });
-    }
-    if (instance.config == FuzzConfig::kCore &&
-        instance.db_a.has_value()) {
-      ops.push_back([&] {
-        if (!instance.frozen.empty() && rng.Chance(0.5)) {
-          instance.frozen.erase(instance.frozen.begin() +
-                                rng.Below(instance.frozen.size()));
-        } else if (!instance.db_a->domain().empty()) {
-          const std::vector<Value>& domain = instance.db_a->domain();
-          instance.frozen.push_back(domain[rng.Below(domain.size())]);
-        }
-      });
-    }
-    if (instance.config == FuzzConfig::kCoverGame) {
-      ops.push_back([&] { instance.k = instance.k == 1 ? 2 : 1; });
-    }
-    if (instance.config == FuzzConfig::kFaults) {
-      ops.push_back([&] {
-        constexpr CoverageSite kFaultSites[] = {
-            CoverageSite::kHomNode, CoverageSite::kHomBacktrack,
-            CoverageSite::kSimplexPivot, CoverageSite::kGhwSubproblemSolved,
-            CoverageSite::kCoverFixpointRound};
-        instance.fault_site =
-            static_cast<std::uint16_t>(kFaultSites[rng.Below(5)]);
-      });
-      ops.push_back([&] {
-        instance.fault_kind =
-            static_cast<std::uint8_t>((instance.fault_kind + 1) % 3);
-      });
-      ops.push_back([&] {
-        instance.fault_visit =
-            rng.Chance(0.5) ? instance.fault_visit + 1 + rng.Below(8)
-                            : std::max<std::uint64_t>(
-                                  instance.fault_visit / 2, 1);
-      });
-    }
-    if (instance.config == FuzzConfig::kDimension) {
-      ops.push_back([&] { instance.ell = instance.ell == 1 ? 2 : 1; });
-    }
-    if (instance.config == FuzzConfig::kServe ||
-        instance.config == FuzzConfig::kIncremental ||
-        instance.config == FuzzConfig::kCrashIo) {
-      // Reseed the interleaving / mutation / fault trace, or grow/shrink
-      // the op schedule.
-      ops.push_back([&] { instance.k = rng.Next() >> 1; });
-      ops.push_back([&] {
-        instance.m = rng.Chance(0.5)
-                         ? instance.m + 1 + rng.Below(8)
-                         : std::max<std::size_t>(instance.m / 2, 1);
-      });
-    }
-    if (instance.config == FuzzConfig::kLinsep) {
-      ops.push_back([&] {
-        if (instance.features.empty()) return;
-        FeatureVector& row =
-            instance.features[rng.Below(instance.features.size())];
-        if (!row.empty()) {
-          int& f = row[rng.Below(row.size())];
-          f = -f;
-        }
-      });
-      ops.push_back([&] {
-        if (instance.feature_labels.empty()) return;
-        Label& label =
-            instance.feature_labels[rng.Below(instance.feature_labels.size())];
-        label = -label;
-      });
-      ops.push_back([&] {
-        // Add an example (clone-and-flip when one exists).
-        FeatureVector row;
-        std::size_t width =
-            instance.features.empty() ? rng.Range(1, 3)
-                                      : instance.features[0].size();
-        for (std::size_t i = 0; i < width; ++i) {
-          row.push_back(rng.Chance(0.5) ? 1 : -1);
-        }
-        instance.features.push_back(std::move(row));
-        instance.feature_labels.push_back(rng.Chance(0.5) ? kPositive
-                                                          : kNegative);
-      });
-      ops.push_back([&] {
-        if (instance.features.empty()) return;
-        std::size_t i = rng.Below(instance.features.size());
-        instance.features.erase(instance.features.begin() + i);
-        instance.feature_labels.erase(instance.feature_labels.begin() + i);
-      });
-      ops.push_back([&] {
-        if (instance.lp.a.empty()) return;
-        std::size_t i = rng.Below(instance.lp.a.size());
-        if (!instance.lp.a[i].empty() && rng.Chance(0.7)) {
-          std::size_t j = rng.Below(instance.lp.a[i].size());
-          instance.lp.a[i][j] =
-              instance.lp.a[i][j] + Rational(rng.Chance(0.5) ? 1 : -1);
-        } else {
-          instance.lp.b[i] =
-              instance.lp.b[i] + Rational(rng.Chance(0.5) ? 1 : -1);
-        }
-      });
-      ops.push_back([&] {
-        if (instance.lp.c.empty()) return;
-        std::size_t j = rng.Below(instance.lp.c.size());
-        instance.lp.c[j] =
-            instance.lp.c[j] + Rational(rng.Chance(0.5) ? 1 : -1);
-      });
-      ops.push_back([&] {
-        // Add a constraint row.
-        std::vector<Rational> row;
-        for (std::size_t j = 0; j < instance.lp.c.size(); ++j) {
-          row.emplace_back(static_cast<std::int64_t>(rng.Below(7)) - 3);
-        }
-        instance.lp.a.push_back(std::move(row));
-        instance.lp.b.emplace_back(static_cast<std::int64_t>(rng.Below(7)) -
-                                   2);
-      });
-      ops.push_back([&] {
-        if (instance.lp.a.empty()) return;
-        std::size_t i = rng.Below(instance.lp.a.size());
-        instance.lp.a.erase(instance.lp.a.begin() + i);
-        instance.lp.b.erase(instance.lp.b.begin() + i);
-      });
+    if (auto config_ops = FuzzConfigSpecOf(instance.config).mutate_ops) {
+      config_ops(&instance, rng, &ops);
     }
     if (ops.empty()) break;
     ops[rng.Below(ops.size())]();

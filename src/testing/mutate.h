@@ -8,8 +8,9 @@ namespace featsep {
 namespace testing {
 
 /// Structure-aware mutation for the coverage-guided fuzzer: applies one to
-/// three random edits to a copy of `instance`, picked from the operators
-/// applicable to its config —
+/// three random edits to a copy of `instance`, picked from the generic
+/// operators for the fields it carries plus its config row's `mutate_ops`
+/// (FuzzConfigSpec) —
 ///   - databases: add/remove a fact, redirect one argument, merge two
 ///     constants, introduce a fresh constant;
 ///   - queries: add/remove an atom, merge two variables, deepen an
@@ -19,7 +20,7 @@ namespace testing {
 ///     schema (relation ids are append-stable);
 ///   - examples: flip labels, move values between S⁺/S⁻, grow/shrink the
 ///     frozen set;
-///   - scalars: bump k/m/ℓ;
+///   - scalars: toggle k/m/ℓ, reseed traces, move the fault spec;
 ///   - LP/features: perturb coefficients and bounds by ±1, add/drop
 ///     rows/examples/columns, flip feature signs.
 ///

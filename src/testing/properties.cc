@@ -1360,12 +1360,11 @@ PropertyCheck CheckIncrementalProperties(const Database& db,
 
   // The live stack under test: one mutating database, one warm service the
   // maintainer re-keys across every mutation, one warm-started separability
-  // decider. The drop policy rides the seed so both maintenance modes fuzz.
+  // decider.
   Database live = db;
   serve::ServeOptions live_options;
   live_options.num_shards = 1;
   live_options.cache_capacity = 64;
-  live_options.incremental = rng.Chance(0.75);
   serve::EvalService service(live_options);
   serve::IncrementalMaintainer maintainer(&service, features);
   serve::IncrementalSeparability isep(features);

@@ -50,6 +50,21 @@ TEST(CqmApxSepTest, SeparableDataHasZeroMinError) {
   EXPECT_EQ(result.min_errors, 0u);
 }
 
+TEST(CqmApxSepTest, EntitylessTrainingDatabaseHasZeroMinError) {
+  // No entities: nothing to misclassify, and the min-error classifier
+  // carries no weights, so the returned model is empty.
+  auto db = std::make_shared<Database>(testing::GraphSchema());
+  testing::AddEdge(*db, "a", "b");
+  TrainingDatabase training(db);
+  for (std::size_t m = 1; m <= 2; ++m) {
+    CqmApxSepResult result = DecideCqmApxSep(training, m, 0.0);
+    EXPECT_TRUE(result.separable_with_error) << "m = " << m;
+    EXPECT_EQ(result.min_errors, 0u);
+    ASSERT_TRUE(result.model.has_value());
+    EXPECT_EQ(result.model->statistic.dimension(), 0u);
+  }
+}
+
 TEST(CqmApxSepTest, TwinConflictCostsExactlyOne) {
   auto training = NoisyDataset();
   EXPECT_FALSE(DecideCqmSep(*training, 1).separable);

@@ -24,6 +24,7 @@ namespace featsep {
 namespace {
 
 using ::featsep::testing::CheckFuzzInstance;
+using ::featsep::testing::AllFuzzConfigs;
 using ::featsep::testing::Corpus;
 using ::featsep::testing::CoverageBucket;
 using ::featsep::testing::CoverageEdge;
@@ -33,6 +34,7 @@ using ::featsep::testing::CoverageMap;
 using ::featsep::testing::CoverageSnapshot;
 using ::featsep::testing::DeserializeFuzzInstance;
 using ::featsep::testing::FuzzConfig;
+using ::featsep::testing::FuzzConfigName;
 using ::featsep::testing::FuzzInstance;
 using ::featsep::testing::GenerateFuzzInstance;
 using ::featsep::testing::MutateFuzzInstance;
@@ -44,13 +46,6 @@ using ::featsep::testing::ResetCoverage;
 using ::featsep::testing::SerializeFuzzInstance;
 using ::featsep::testing::SetCoverageEnabled;
 using ::featsep::testing::SnapshotCoverage;
-
-constexpr FuzzConfig kAllConfigs[] = {
-    FuzzConfig::kHom,       FuzzConfig::kEval,     FuzzConfig::kContainment,
-    FuzzConfig::kCore,      FuzzConfig::kGhw,      FuzzConfig::kSep,
-    FuzzConfig::kQbe,       FuzzConfig::kCoverGame, FuzzConfig::kDimension,
-    FuzzConfig::kLinsep,
-};
 
 // ---------------------------------------------------------------------------
 // Coverage probes and edge bookkeeping.
@@ -124,7 +119,7 @@ TEST(CoverageTest, MapAdmitsOnlyNewEdges) {
 // Corpus serialization.
 
 TEST(CorpusTest, SerializationReachesFixedPoint) {
-  for (FuzzConfig config : kAllConfigs) {
+  for (FuzzConfig config : AllFuzzConfigs()) {
     for (std::uint64_t seed = 0; seed < 12; ++seed) {
       FuzzInstance generated = GenerateFuzzInstance(config, seed);
       std::string first = SerializeFuzzInstance(generated);
@@ -138,13 +133,13 @@ TEST(CorpusTest, SerializationReachesFixedPoint) {
       auto again = DeserializeFuzzInstance(second);
       ASSERT_TRUE(again.ok()) << second << "\n" << again.error().message();
       EXPECT_EQ(second, SerializeFuzzInstance(again.value()))
-          << "config " << static_cast<int>(config) << " seed " << seed;
+          << FuzzConfigName(config) << " seed " << seed;
     }
   }
 }
 
 TEST(CorpusTest, ReloadedInstancesStillSatisfyProperties) {
-  for (FuzzConfig config : kAllConfigs) {
+  for (FuzzConfig config : AllFuzzConfigs()) {
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
       FuzzInstance generated = GenerateFuzzInstance(config, seed);
       auto reloaded =
@@ -202,7 +197,7 @@ TEST(CorpusTest, PersistsAndReloadsFromDisk) {
 // Mutation.
 
 TEST(MutateTest, DeterministicInRngState) {
-  for (FuzzConfig config : kAllConfigs) {
+  for (FuzzConfig config : AllFuzzConfigs()) {
     FuzzInstance base = GenerateFuzzInstance(config, 3);
     WorkloadRng rng1(17);
     WorkloadRng rng2(17);
@@ -212,7 +207,7 @@ TEST(MutateTest, DeterministicInRngState) {
 }
 
 TEST(MutateTest, ChainsStaySanitizedAndLawful) {
-  for (FuzzConfig config : kAllConfigs) {
+  for (FuzzConfig config : AllFuzzConfigs()) {
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
       FuzzInstance instance = GenerateFuzzInstance(config, seed);
       WorkloadRng rng(seed * 31 + 7);

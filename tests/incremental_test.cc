@@ -285,38 +285,6 @@ TEST(IncrementalMaintainerTest, PatchModeKeepsWarmAnswersExact) {
   EXPECT_GT(maintainer.stats().entities_screened_out, 0u);
 }
 
-TEST(IncrementalMaintainerTest, DropModeInvalidatesBothDigests) {
-  Database db = MakeWorld();
-  std::vector<ConjunctiveQuery> features = OutInFeatures();
-  ServeOptions options;
-  options.num_shards = 1;
-  options.cache_capacity = 16;
-  options.incremental = false;  // Invalidate-only maintenance.
-  EvalService service(options);
-  service.Matrix(features, db);
-  IncrementalMaintainer maintainer(&service, features);
-
-  Delta delta = db.InsertFact(db.schema().FindRelation("E"),
-                              {db.FindValue("none"), db.FindValue("t")});
-  ASSERT_TRUE(delta.applied);
-  DeltaMaintenance maintenance = maintainer.ApplyDelta(db, delta);
-  for (const ConjunctiveQuery& feature : features) {
-    EXPECT_EQ(service.PeekCached(delta.old_digest, feature.ToString()),
-              nullptr);
-    EXPECT_EQ(service.PeekCached(delta.new_digest, feature.ToString()),
-              nullptr);
-  }
-  // Drop mode reports the screen's superset; the real flip is in there.
-  EXPECT_NE(std::find(maintenance.changed_entities.begin(),
-                      maintenance.changed_entities.end(), "none"),
-            maintenance.changed_entities.end());
-  EXPECT_EQ(maintainer.stats().features_dropped, 2u);
-  EXPECT_EQ(maintainer.stats().features_patched, 0u);
-  // The next read recomputes fresh and correct.
-  EvalService cold = MakeSerialService(0);
-  EXPECT_EQ(service.Matrix(features, db), cold.Matrix(features, Rebuild(db)));
-}
-
 TEST(IncrementalMaintainerTest, EntityRemovalDropsTheRow) {
   Database db = MakeWorld();
   std::vector<ConjunctiveQuery> features = OutInFeatures();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "serve/eval_service.h"
 #include "test_util.h"
 
 namespace featsep {
@@ -177,6 +178,29 @@ TEST(CqSepTest, EntitylessTrainingDatabaseIsSeparable) {
   CqSepResult result = DecideCqSep(training);
   EXPECT_TRUE(result.separable);
   EXPECT_FALSE(result.conflict.has_value());
+}
+
+TEST(CqmSepTest, EntitylessTrainingDatabaseIsSeparable) {
+  // No entities: the LP solver returns a classifier with no weights, which
+  // must read as all-zero — vacuously separable with an empty model, served
+  // or serial.
+  auto db = std::make_shared<Database>(GraphSchema());
+  testing::AddEdge(*db, "a", "b");
+  TrainingDatabase training(db);
+  serve::EvalService service;
+  serve::EvalService* const services[] = {nullptr, &service};
+  for (serve::EvalService* served : services) {
+    CqmSepOptions options;
+    options.service = served;
+    for (std::size_t m = 1; m <= 2; ++m) {
+      CqmSepResult result = DecideCqmSep(training, m, options);
+      EXPECT_TRUE(result.separable) << "m = " << m;
+      EXPECT_GT(result.features_enumerated, 0u);
+      ASSERT_TRUE(result.model.has_value());
+      EXPECT_EQ(result.model->statistic.dimension(), 0u);
+      EXPECT_EQ(result.model->TrainingErrors(training), 0u);
+    }
+  }
 }
 
 TEST(CqmSepTest, Example62SeparableWithOneAtomFeatures) {

@@ -15,7 +15,9 @@ namespace featsep {
 namespace {
 
 using ::featsep::testing::AddPath;
+using ::featsep::testing::AllFuzzConfigs;
 using ::featsep::testing::FuzzConfig;
+using ::featsep::testing::FuzzConfigName;
 using ::featsep::testing::FuzzOptions;
 using ::featsep::testing::FuzzReport;
 using ::featsep::testing::GraphSchema;
@@ -157,29 +159,29 @@ TEST(ShrinkTest, ShrinkCqInstanceMinimizesBothSides) {
 // Fuzz loop: every config clean on a bounded seed sweep, deterministically.
 
 TEST(FuzzTest, ParseFuzzConfigRoundTrips) {
-  for (FuzzConfig config :
-       {FuzzConfig::kHom, FuzzConfig::kEval, FuzzConfig::kContainment,
-        FuzzConfig::kCore, FuzzConfig::kGhw, FuzzConfig::kSep,
-        FuzzConfig::kQbe, FuzzConfig::kMixed}) {
-    auto parsed = ParseFuzzConfig(featsep::testing::FuzzConfigName(config));
-    ASSERT_TRUE(parsed.has_value());
+  std::vector<FuzzConfig> configs = AllFuzzConfigs();
+  EXPECT_EQ(configs.size(), static_cast<std::size_t>(FuzzConfig::kMixed));
+  configs.push_back(FuzzConfig::kMixed);
+  for (FuzzConfig config : configs) {
+    auto parsed = ParseFuzzConfig(FuzzConfigName(config));
+    ASSERT_TRUE(parsed.has_value()) << FuzzConfigName(config);
     EXPECT_EQ(*parsed, config);
   }
+  // Table rows are matched to the enum by position; pin both ends.
+  EXPECT_STREQ(FuzzConfigName(FuzzConfig::kHom), "hom");
+  EXPECT_STREQ(FuzzConfigName(FuzzConfig::kCrashIo), "crashio");
   EXPECT_FALSE(ParseFuzzConfig("nonsense").has_value());
 }
 
 TEST(FuzzTest, AllConfigsCleanOnSeedSweep) {
-  for (FuzzConfig config :
-       {FuzzConfig::kHom, FuzzConfig::kEval, FuzzConfig::kContainment,
-        FuzzConfig::kCore, FuzzConfig::kGhw, FuzzConfig::kSep,
-        FuzzConfig::kQbe}) {
+  for (FuzzConfig config : AllFuzzConfigs()) {
     FuzzOptions options;
     options.config = config;
     options.seed = 1000;
     options.iterations = 25;
     FuzzReport report = RunFuzz(options);
     EXPECT_TRUE(report.ok())
-        << featsep::testing::FuzzConfigName(config) << ": "
+        << FuzzConfigName(config) << ": "
         << (report.failures.empty() ? "" : report.failures[0].detail);
     EXPECT_EQ(report.iterations, 25u);
   }

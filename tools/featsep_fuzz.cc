@@ -17,19 +17,11 @@
 //   featsep_fuzz [--iters N] [--seed S] [--config NAME] [--no-shrink]
 //                [--corpus DIR] [--mutate] [--coverage-stats]
 //                [--replay FILE]...
-// Configs: hom, eval, containment, core, ghw, sep, qbe, covergame,
-// dimension, linsep, faults, serve, incremental, crashio, mixed (default).
-// The faults config injects deterministic cancellations/timeouts/allocation
-// failures into the budgeted decision procedures and checks the robustness
-// invariants (no cache poisoning, interrupt-then-resume determinism). The
-// serve config runs seeded random Submit/poll/cancel/pause interleavings
-// through the async serve front-end against the serial evaluation path as
-// oracle. The crashio config runs the durable tier (disk cache, breaker-
-// gated EvalService, shard protocol) under seeded filesystem fault
-// schedules — EIO/ENOSPC, torn writes, partial scans, kill-at-a-random-I/O-
-// point then recover — checking that corrupt entries are never trusted,
-// answers stay bit-identical to serial, and no shard job is ever lost.
+// `--help` lists the config names. src/testing/fuzz.h says what each config
+// checks; its row of the config table (src/testing/instance.cc) defines it.
+// N and S are decimal counts; anything else exits 2 with the usage text.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -40,15 +32,25 @@
 
 namespace {
 
+using featsep::testing::FuzzConfig;
+using featsep::testing::FuzzConfigName;
+
 void Usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0
-      << " [--iters N] [--seed S] [--config hom|eval|containment|core|ghw|"
-         "sep|qbe|covergame|dimension|linsep|faults|serve|incremental|"
-         "crashio|mixed] "
-         "[--no-shrink]\n"
-         "       [--corpus DIR] [--mutate] [--coverage-stats] "
-         "[--replay FILE]...\n";
+  std::cerr << "usage: " << argv0
+            << " [--iters N] [--seed S] [--config NAME] [--no-shrink]\n"
+               "       [--corpus DIR] [--mutate] [--coverage-stats] "
+               "[--replay FILE]...\n"
+               "configs:";
+  for (FuzzConfig config : featsep::testing::AllFuzzConfigs()) {
+    std::cerr << " " << FuzzConfigName(config);
+  }
+  std::cerr << " " << FuzzConfigName(FuzzConfig::kMixed) << " (default)\n";
+}
+
+[[noreturn]] void UsageError(const char* argv0, const std::string& message) {
+  std::cerr << message << "\n";
+  Usage(argv0);
+  std::exit(2);
 }
 
 }  // namespace
@@ -56,26 +58,30 @@ void Usage(const char* argv0) {
 int main(int argc, char** argv) {
   featsep::testing::FuzzOptions options;
   for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
+    const std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        Usage(argv[0]);
-        std::exit(2);
-      }
+      if (i + 1 >= argc) UsageError(argv[0], "missing value for " + arg);
       return argv[++i];
     };
+    // A whole decimal count: no sign, no trailing characters, no overflow.
+    auto count = [&]() -> std::uint64_t {
+      std::string_view text = next();
+      std::uint64_t value = 0;
+      const char* end = text.data() + text.size();
+      auto [ptr, ec] = std::from_chars(text.data(), end, value);
+      if (ec == std::errc() && ptr == end) return value;
+      UsageError(argv[0],
+                 "bad value for " + arg + ": '" + std::string(text) + "'");
+    };
     if (arg == "--iters") {
-      options.iterations = std::strtoull(next(), nullptr, 10);
+      options.iterations = count();
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(next(), nullptr, 10);
+      options.seed = count();
     } else if (arg == "--config") {
       const char* name = next();
       auto config = featsep::testing::ParseFuzzConfig(name);
       if (!config.has_value()) {
-        std::cerr << "unknown config: " << name << "\n";
-        Usage(argv[0]);
-        return 2;
+        UsageError(argv[0], "unknown config: " + std::string(name));
       }
       options.config = *config;
     } else if (arg == "--no-shrink") {
@@ -92,9 +98,7 @@ int main(int argc, char** argv) {
       Usage(argv[0]);
       return 0;
     } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      Usage(argv[0]);
-      return 2;
+      UsageError(argv[0], "unknown argument: " + arg);
     }
   }
 
@@ -104,7 +108,7 @@ int main(int argc, char** argv) {
               << std::endl;
   } else {
     std::cout << "featsep_fuzz: config="
-              << featsep::testing::FuzzConfigName(options.config)
+              << FuzzConfigName(options.config)
               << " seed=" << options.seed << " iters=" << options.iterations
               << (options.mutate || !options.corpus_dir.empty()
                       ? " (coverage-guided)"
