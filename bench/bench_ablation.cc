@@ -14,6 +14,7 @@
 #include "covergame/cover_game.h"
 #include "cq/homomorphism.h"
 #include "qbe/qbe.h"
+#include "util/budget.h"
 #include "workload/movies.h"
 
 namespace featsep {
@@ -27,12 +28,14 @@ void RunHomAblation(benchmark::State& state, bool forward_checking) {
   auto b = bench::RandomGraphDatabase(n, 2 * n, 92);
   HomOptions options;
   options.forward_checking = forward_checking;
-  // Without pruning the refutation search is astronomically large; the
-  // budget turns "never finishes" into a measurable exhaustion count.
-  options.max_nodes = 2000000;
   std::uint64_t nodes = 0;
   bool exhausted = false;
   for (auto _ : state) {
+    // Without pruning the refutation search is astronomically large; the
+    // step limit (one step per node) turns "never finishes" into a
+    // measurable exhaustion count.
+    ExecutionBudget budget = ExecutionBudget::WithStepLimit(2000000);
+    options.budget = &budget;
     HomResult result = FindHomomorphism(*a, *b, {}, options);
     nodes = result.nodes;
     exhausted = result.status == HomStatus::kExhausted;

@@ -48,8 +48,6 @@ CqSepResult DecideCqSep(const TrainingDatabase& training,
   // caches are internally synchronized, so workers may hit them cold.
   std::size_t pairs = positives.size() * negatives.size();
   std::atomic<std::size_t> pairs_checked{0};
-  HomOptions hom_base;
-  hom_base.num_threads = options.hom_threads;
   std::size_t hit = ParallelFindFirst(
       options.num_threads, pairs, [&](std::size_t index) {
         Value p = positives[index / negatives.size()];
@@ -58,7 +56,7 @@ CqSepResult DecideCqSep(const TrainingDatabase& training,
         // sweep; the budget outcome recorded below tells the caller the
         // all-clear is then not definitive.
         std::optional<bool> equivalent =
-            TryHomEquivalent(db, {p}, db, {n}, options.budget, hom_base);
+            TryHomEquivalent(db, {p}, db, {n}, options.budget);
         if (!equivalent.has_value()) return false;
         pairs_checked.fetch_add(1, std::memory_order_relaxed);
         return *equivalent;

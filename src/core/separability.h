@@ -41,13 +41,6 @@ struct CqSepOptions {
   /// for every setting — the sweep always reports the first conflicting
   /// pair in (positive-major) scan order.
   std::size_t num_threads = 0;
-  /// Workers *inside* each homomorphism search (HomOptions::num_threads):
-  /// 1 = the classic sequential kernel (default), 0 = hardware concurrency.
-  /// Use > 1 when the sweep is dominated by a few hard pairs rather than by
-  /// pair count. Both levels run on the one process-wide pool
-  /// (util/parallel.h), so nested workers share its threads instead of
-  /// multiplying them. The decision is identical for every setting.
-  std::size_t hom_threads = 1;
   /// Cooperative budget threaded into every pairwise hom search; nullptr =
   /// unbounded. Checked at entry (a zero/expired deadline returns
   /// immediately) and per search-tree node, so cancellation latency is

@@ -1,58 +1,23 @@
 #include "cq/homomorphism.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "cq/hom_nogoods.h"
 #include "testing/coverage.h"
 #include "testing/faults.h"
 #include "util/budget.h"
 #include "util/check.h"
-#include "util/parallel.h"
 #include "util/svo_bitset.h"
 
 namespace featsep {
 
 namespace {
 
-/// splitmix64 step — the restart workers' value-order randomization stream.
-inline std::uint64_t SplitMix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// State shared by the workers of one parallel FindHomomorphism call. All
-/// of it is call-local: nothing survives the call, so an interrupted or
-/// cancelled run cannot poison any cross-call cache.
-struct ParallelShared {
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> nodes{0};     // Global node count (max_nodes).
-  std::atomic<std::uint64_t> restarts{0};
-  NogoodStore* store = nullptr;            // nullptr = nogoods disabled.
-  std::mutex winner_mutex;
-  bool has_winner = false;
-  HomResult winner;
-};
-
-/// Per-worker search personality.
-struct WorkerConfig {
-  std::size_t worker_id = 0;
-  /// Randomize value order by per-frame rotation offsets.
-  bool randomize = false;
-  /// Run under the Luby restart schedule (recording nogoods when a store
-  /// is attached).
-  bool restarts = false;
-};
-
-/// Search state for one FindHomomorphism worker.
+/// Search state for FindHomomorphism and PreparedHomSearch.
 ///
 /// The CSP is solved over dense indices on both sides: variables are
 /// positions into dom(from), candidate images are positions into dom(to),
@@ -63,10 +28,6 @@ struct WorkerConfig {
 /// bitsets) are computed once per search and reused at every node, so the
 /// inner loops are word-wise bit operations.
 ///
-/// Parallel calls run one HomSearch per worker: the lazy target indexes are
-/// per-worker (never synchronized — they are read/written from the hot
-/// path), while the nogood store, done flag, and node counter are shared.
-///
 /// A HomSearch may Run many times (PreparedHomSearch): the first Run
 /// prepares the seed-independent state — variables, per-fact structure and
 /// the unary-constrained base domains — and every later Run rewinds the
@@ -75,12 +36,17 @@ struct WorkerConfig {
 /// preparation is already on the trail.
 class HomSearch {
  public:
-  HomSearch(const Database& from, const Database& to,
-            const HomOptions& options)
-      : from_(from), to_(to), options_(options) {}
+  HomSearch(const Database& from, const Database& to, bool forward_checking,
+            std::vector<std::pair<Value, Value>> prefer)
+      : from_(from),
+        to_(to),
+        forward_checking_(forward_checking),
+        prefer_pairs_(std::move(prefer)) {}
 
+  /// The search for a homomorphism extending `seed`, charged one step per
+  /// node to `budget` (nullptr = unbounded).
   HomResult Run(const std::vector<std::pair<Value, Value>>& seed,
-                ParallelShared* shared, const WorkerConfig& worker);
+                ExecutionBudget* budget);
 
  private:
   /// Index of a variable (a dom(from) element) in vars_.
@@ -98,28 +64,15 @@ class HomSearch {
     std::vector<std::pair<std::uint32_t, std::uint32_t>> rep_pairs;
   };
 
-  /// How one Search() run ended (superset of the public HomStatus: restart
-  /// workers additionally stop at their node limit, and parallel workers
-  /// abandon the run once a sibling has won).
-  enum class SearchEnd { kFound, kNone, kExhausted, kAborted, kRestart };
-
   /// One backtracking frame. Candidates are copied because Assign() may
-  /// shrink the live domain via a neighbor's forward check; randomized
-  /// workers scan them from a per-frame rotation offset (wrapping once), so
-  /// restarts explore genuinely different subtrees without allocation.
+  /// shrink the live domain via a neighbor's forward check.
   struct Frame {
     VarIndex var;
     SvoBitset candidates;
     std::size_t cursor = 0;       // Next candidate bit to scan.
-    std::size_t offset = 0;       // Rotation start (randomized workers).
-    bool wrapped = false;         // Scan has wrapped past the end once.
     DomIndex pref = kNoDomIndex;  // Preferred image, tried before the scan.
-    DomIndex image = kNoDomIndex; // Decision currently in effect.
     std::size_t mark = 0;         // Trail mark taken before the last Assign.
     bool assigned = false;        // An Assign from this frame is in effect.
-    // Images whose subtrees were exhausted at this frame (only tracked when
-    // nogoods are being recorded).
-    std::vector<DomIndex> refuted;
   };
 
   /// The seed-independent setup of the first Run. False when some variable
@@ -131,18 +84,12 @@ class HomSearch {
   /// Filters every variable's domain through the unary constraints induced
   /// by its (relation, position) occurrences in `from_`.
   bool ApplyUnaryConstraints();
-  /// Runs Search under the worker's restart schedule (or once, for the
-  /// classic sequential worker).
-  SearchEnd RunSearchLoop();
-  /// One backtracking run, stopping after `node_limit` nodes when nonzero.
-  SearchEnd Search(std::uint64_t node_limit);
+  /// The backtracking search from the post-seed state: kFound leaves the
+  /// witness in assigned_value_; kExhausted means the budget tripped.
+  HomStatus Search();
   Frame MakeFrame(VarIndex var);
   /// Next untried candidate of `frame`, or kNoDomIndex when exhausted.
   DomIndex NextCandidate(Frame& frame);
-  /// Records negative-last-decision nogoods for the run's refuted subtrees.
-  void RecordNogoods(const std::vector<Frame>& stack);
-  /// Undoes every frame's assignment (back to the post-seed state).
-  void Unwind(std::vector<Frame>& stack);
   /// Assigns var := the dom(to) element at `image`, then forward-checks all
   /// facts containing var, pruning neighbor domains. Returns false on
   /// wipe-out. Opens a new trail epoch (copy-on-first-write granularity).
@@ -185,16 +132,12 @@ class HomSearch {
   void SaveDomain(VarIndex var);
   void UndoTo(std::size_t mark);
 
-  /// Global node count for the max_nodes cap (shared across workers).
-  std::uint64_t TotalNodes() const {
-    return shared_ != nullptr
-               ? shared_->nodes.load(std::memory_order_relaxed)
-               : nodes_;
-  }
-
   const Database& from_;
   const Database& to_;
-  const HomOptions& options_;
+  const bool forward_checking_;
+  // The value-ordering hint, resolved into prefer_ by Prepare().
+  const std::vector<std::pair<Value, Value>> prefer_pairs_;
+  ExecutionBudget* budget_ = nullptr;  // The current Run's budget.
 
   std::vector<Value> vars_;          // var index -> dom(from) element.
   std::vector<VarIndex> var_of_;     // from-value id -> var index (dense).
@@ -255,35 +198,22 @@ class HomSearch {
   SvoBitset fact_scratch_;  // Compatible-fact accumulator (general path).
   Fact probe_;              // Reused tuple for all-assigned lookups.
 
-  // Worker personality (parallel / restart searches).
-  ParallelShared* shared_ = nullptr;
-  WorkerConfig worker_;
-  bool record_nogoods_ = false;
-  bool consume_nogoods_ = false;
-  std::uint64_t rng_state_ = 0;
-
   std::uint64_t nodes_ = 0;
-  std::uint64_t restarts_ = 0;
-  std::uint64_t nogoods_recorded_ = 0;
 
   bool prepared_ = false;
   bool satisfiable_ = false;  // Prepare()'s verdict, reused by every Run.
 };
 
 HomResult HomSearch::Run(const std::vector<std::pair<Value, Value>>& seed,
-                         ParallelShared* shared, const WorkerConfig& worker) {
+                         ExecutionBudget* budget) {
   HomResult result;
-  shared_ = shared;
-  worker_ = worker;
-  NogoodStore* store = shared_ != nullptr ? shared_->store : nullptr;
-  record_nogoods_ = worker_.restarts && store != nullptr;
-  consume_nogoods_ = store != nullptr;
+  budget_ = budget;
 
   // A zero/expired/cancelled budget at entry: return undecided before any
   // setup work, so abandoned requests cost nothing.
-  if (!RecheckBudget(options_.budget)) {
+  if (!RecheckBudget(budget_)) {
     result.status = HomStatus::kExhausted;
-    result.outcome = options_.budget->outcome();
+    result.outcome = budget_->outcome();
     return result;
   }
 
@@ -310,7 +240,6 @@ HomResult HomSearch::Run(const std::vector<std::pair<Value, Value>>& seed,
       if (assigned_value_[var] != image) {
         FEATSEP_COVERAGE(kHomSeedReject);
         result.status = HomStatus::kNone;
-        result.nodes = nodes_;
         return result;
       }
       continue;
@@ -321,32 +250,14 @@ HomResult HomSearch::Run(const std::vector<std::pair<Value, Value>>& seed,
         !Assign(var, index)) {
       FEATSEP_COVERAGE(kHomSeedReject);
       result.status = HomStatus::kNone;
-      result.nodes = nodes_;
       return result;
     }
   }
 
-  switch (RunSearchLoop()) {
-    case SearchEnd::kFound:
-      result.status = HomStatus::kFound;
-      break;
-    case SearchEnd::kNone:
-      result.status = HomStatus::kNone;
-      break;
-    case SearchEnd::kExhausted:
-    case SearchEnd::kAborted:
-    case SearchEnd::kRestart:  // Unreachable: RunSearchLoop resumes.
-      result.status = HomStatus::kExhausted;
-      break;
-  }
+  result.status = Search();
   result.nodes = nodes_;
-  result.restarts = restarts_;
-  result.nogoods_recorded = nogoods_recorded_;
   if (result.status == HomStatus::kExhausted) {
-    result.outcome =
-        options_.budget != nullptr && options_.budget->Interrupted()
-            ? options_.budget->outcome()
-            : BudgetOutcome::kBudgetExhausted;  // max_nodes / sibling won.
+    result.outcome = budget_->outcome();
   }
   if (result.status == HomStatus::kFound) {
     // Mapping indexed by value id over all interned values of `from_`.
@@ -383,7 +294,7 @@ bool HomSearch::Prepare() {
   }
 
   prefer_.assign(vars_.size(), kNoDomIndex);
-  for (const auto& [source, image] : options_.prefer) {
+  for (const auto& [source, image] : prefer_pairs_) {
     if (source >= var_of_.size() || var_of_[source] == kNoVar) continue;
     if (image >= to_index_->size()) continue;
     DomIndex index = (*to_index_)[image];
@@ -398,8 +309,6 @@ void HomSearch::Rewind() {
   std::fill(assigned_index_.begin(), assigned_index_.end(), kNoDomIndex);
   unassigned_ = vars_.size();
   nodes_ = 0;
-  restarts_ = 0;
-  nogoods_recorded_ = 0;
 }
 
 void HomSearch::BuildStructures() {
@@ -572,35 +481,10 @@ HomSearch::VarIndex HomSearch::SelectVar() const {
   return best;
 }
 
-HomSearch::SearchEnd HomSearch::RunSearchLoop() {
-  if (!worker_.restarts) return Search(0);
-  // Luby-restart worker: run k is capped at Luby(k) * restart_base nodes.
-  // The schedule's unbounded growth guarantees termination — some run's
-  // limit eventually exceeds the whole tree — and each restart reseeds the
-  // rotation stream, so runs explore genuinely different value orders while
-  // the recorded nogoods keep shrinking the effective tree.
-  std::uint64_t base = options_.restart_base == 0 ? 1 : options_.restart_base;
-  for (std::uint64_t k = 1;; ++k) {
-    rng_state_ = options_.rng_seed ^
-                 (0x517cc1b727220a95ULL * (worker_.worker_id + 1)) ^
-                 (0x2545f4914f6cdd1dULL * k);
-    SearchEnd end = Search(Luby(k) * base);
-    if (end != SearchEnd::kRestart) return end;
-    ++restarts_;
-    if (shared_ != nullptr) {
-      shared_->restarts.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
 HomSearch::Frame HomSearch::MakeFrame(VarIndex var) {
   Frame frame;
   frame.var = var;
   frame.candidates = domains_[var];
-  if (worker_.randomize && ndom_ > 1) {
-    frame.offset = static_cast<std::size_t>(SplitMix64(rng_state_) % ndom_);
-    frame.cursor = frame.offset;
-  }
   DomIndex pref = prefer_[var];
   if (pref != kNoDomIndex && frame.candidates.test(pref)) {
     frame.candidates.reset(pref);  // Consumed through the pref slot.
@@ -616,59 +500,16 @@ HomSearch::DomIndex HomSearch::NextCandidate(Frame& frame) {
     frame.pref = kNoDomIndex;
     return image;
   }
-  for (;;) {
-    std::size_t bit = frame.candidates.find_next(frame.cursor);
-    if (!frame.wrapped) {
-      if (bit == SvoBitset::kNoBit) {
-        if (frame.offset == 0) return kNoDomIndex;  // Nothing to wrap onto.
-        frame.wrapped = true;
-        frame.cursor = 0;
-        continue;
-      }
-      frame.cursor = bit + 1;
-      return static_cast<DomIndex>(bit);
-    }
-    if (bit == SvoBitset::kNoBit || bit >= frame.offset) return kNoDomIndex;
-    frame.cursor = bit + 1;
-    return static_cast<DomIndex>(bit);
-  }
+  std::size_t bit = frame.candidates.find_next(frame.cursor);
+  if (bit == SvoBitset::kNoBit) return kNoDomIndex;
+  frame.cursor = bit + 1;
+  return static_cast<DomIndex>(bit);
 }
 
-void HomSearch::RecordNogoods(const std::vector<Frame>& stack) {
-  NogoodStore* store = shared_->store;
-  // The decision prefix grows frame by frame; refuted values at frame i
-  // yield nogoods {d₁, …, d₍ᵢ₋₁₎, (varᵢ, u)}. Beyond kMaxPairs the store
-  // would drop them anyway, so stop extending the prefix there.
-  std::vector<NogoodPair> pairs;
-  for (const Frame& frame : stack) {
-    if (pairs.size() + 1 > NogoodStore::kMaxPairs) break;
-    for (DomIndex u : frame.refuted) {
-      pairs.push_back(NogoodPair{frame.var, u});
-      if (store->Record(pairs)) ++nogoods_recorded_;
-      pairs.pop_back();
-    }
-    if (!frame.assigned) break;  // Deeper frames have no decision in effect.
-    pairs.push_back(NogoodPair{frame.var, frame.image});
-  }
-}
-
-void HomSearch::Unwind(std::vector<Frame>& stack) {
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.assigned) {
-      UndoTo(frame.mark);
-      assigned_value_[frame.var] = kNoValue;
-      assigned_index_[frame.var] = kNoDomIndex;
-      ++unassigned_;
-    }
-    stack.pop_back();
-  }
-}
-
-HomSearch::SearchEnd HomSearch::Search(std::uint64_t node_limit) {
+HomStatus HomSearch::Search() {
   if (unassigned_ == 0) {
     FEATSEP_COVERAGE(kHomFound);
-    return SearchEnd::kFound;
+    return HomStatus::kFound;
   }
 
   // Iterative backtracking with an explicit frame stack: sources can have
@@ -676,34 +517,16 @@ HomSearch::SearchEnd HomSearch::Search(std::uint64_t node_limit) {
   // call-stack recursion depth.
   std::vector<Frame> stack;
   stack.push_back(MakeFrame(SelectVar()));
-  std::uint64_t run_nodes = 0;
 
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.assigned) {
-      // Control returned to this frame: undo its assignment's effects. The
-      // popped subtree was fully explored, so the image is refuted here.
+      // Control returned to this frame: undo its assignment's effects.
       UndoTo(frame.mark);
       assigned_value_[frame.var] = kNoValue;
       assigned_index_[frame.var] = kNoDomIndex;
       ++unassigned_;
       frame.assigned = false;
-      if (record_nogoods_) frame.refuted.push_back(frame.image);
-    }
-    if (options_.max_nodes != 0 && TotalNodes() >= options_.max_nodes) {
-      FEATSEP_COVERAGE(kHomExhausted);
-      Unwind(stack);
-      return SearchEnd::kExhausted;
-    }
-    if (shared_ != nullptr &&
-        shared_->done.load(std::memory_order_relaxed)) {
-      Unwind(stack);
-      return SearchEnd::kAborted;
-    }
-    if (node_limit != 0 && run_nodes >= node_limit) {
-      if (record_nogoods_) RecordNogoods(stack);
-      Unwind(stack);
-      return SearchEnd::kRestart;
     }
     DomIndex image = NextCandidate(frame);
     if (image == kNoDomIndex) {
@@ -712,39 +535,26 @@ HomSearch::SearchEnd HomSearch::Search(std::uint64_t node_limit) {
       stack.pop_back();
       continue;
     }
-    if (consume_nogoods_ &&
-        shared_->store->Forbidden(frame.var, image, assigned_index_)) {
-      // A recorded nogood proves no solution extends the current assignment
-      // with this image — skip it; that is itself a refutation here.
-      if (record_nogoods_) frame.refuted.push_back(image);
-      continue;
-    }
-    ++nodes_;
-    ++run_nodes;
-    if (shared_ != nullptr) {
-      shared_->nodes.fetch_add(1, std::memory_order_relaxed);
-    }
     FEATSEP_COVERAGE(kHomNode);
     FEATSEP_FAULT_POINT(kHomNode);
-    if (!ChargeBudget(options_.budget)) {
+    if (!ChargeBudget(budget_)) {
       FEATSEP_COVERAGE(kHomExhausted);
-      Unwind(stack);
-      return SearchEnd::kExhausted;
+      return HomStatus::kExhausted;
     }
+    ++nodes_;
     frame.mark = trail_.size();
     frame.assigned = true;
-    frame.image = image;
     if (Assign(frame.var, image)) {
       if (unassigned_ == 0) {
         FEATSEP_COVERAGE(kHomFound);
-        return SearchEnd::kFound;
+        return HomStatus::kFound;
       }
       stack.push_back(MakeFrame(SelectVar()));
     }
     // On Assign failure the loop retries this frame (undo happens above).
   }
   FEATSEP_COVERAGE(kHomNone);
-  return SearchEnd::kNone;
+  return HomStatus::kNone;
 }
 
 bool HomSearch::Assign(VarIndex var, DomIndex image) {
@@ -811,7 +621,7 @@ bool HomSearch::CheckFact(FactIndex fact_index) {
       FEATSEP_COVERAGE(kHomDeadFact);
       return false;
     }
-    if (!options_.forward_checking) return true;
+    if (!forward_checking_) return true;
     VarIndex pivot_var = info.vars[pivot];
     const std::vector<SvoBitset>& support =
         Support(fact.relation, pivot, assigned_index_[pivot_var],
@@ -866,7 +676,7 @@ bool HomSearch::CheckFact(FactIndex fact_index) {
     FEATSEP_COVERAGE(kHomDeadFact);
     return false;
   }
-  if (!options_.forward_checking) return true;
+  if (!forward_checking_) return true;
 
   // Accumulate per-position supports of the compatible facts, then prune
   // the domains of this fact's unassigned variables.
@@ -925,102 +735,13 @@ void HomSearch::UndoTo(std::size_t mark) {
 HomResult FindHomomorphism(const Database& from, const Database& to,
                            const std::vector<std::pair<Value, Value>>& seed,
                            const HomOptions& options) {
-  const std::size_t threads =
-      options.num_threads == 0 ? HardwareThreads() : options.num_threads;
-  if (threads <= 1) {
-    // The classic sequential search — or, with sequential_restarts, a
-    // single deterministic Luby-restart worker (the restart/nogood
-    // machinery's reproducible mode). Nogoods need a store even without
-    // sharing, so hang a private one off a local ParallelShared.
-    HomSearch search(from, to, options);
-    if (!options.sequential_restarts) {
-      return search.Run(seed, nullptr, WorkerConfig{0, false, false});
-    }
-    ParallelShared shared;
-    NogoodStore store;
-    if (options.use_nogoods) shared.store = &store;
-    return search.Run(seed, &shared, WorkerConfig{0, true, true});
-  }
-
-  // Intra-instance parallel search on the shared pool: worker 0 runs the
-  // deterministic sequential order and is always claimed first (so the call
-  // terminates exactly when the sequential search does), workers 1.. run
-  // Luby-restart searches over randomized value orders, all sharing one
-  // nogood store. The first definitive answer wins; found witnesses are
-  // verified before they are reported, so any-time soundness never rests on
-  // worker scheduling.
-  ParallelShared shared;
-  NogoodStore store;
-  if (options.use_nogoods) shared.store = &store;
-
-  BudgetOutcome worker_outcome = BudgetOutcome::kCompleted;
-  std::mutex outcome_mutex;
-  auto run_worker = [&](std::size_t w) {
-    // A restart worker the pool only reaches after the race is decided
-    // never builds its search state.
-    if (shared.done.load(std::memory_order_acquire)) return;
-    try {
-      HomSearch search(from, to, options);
-      HomResult result =
-          search.Run(seed, &shared, WorkerConfig{w, w != 0, w != 0});
-      if (result.status == HomStatus::kFound ||
-          result.status == HomStatus::kNone) {
-        if (result.status == HomStatus::kFound) {
-          FEATSEP_CHECK(VerifyHomomorphism(from, to, result.mapping))
-              << "parallel homomorphism worker produced an invalid witness";
-        }
-        std::lock_guard<std::mutex> lock(shared.winner_mutex);
-        if (!shared.has_winner) {
-          shared.has_winner = true;
-          shared.winner = std::move(result);
-        }
-        shared.done.store(true, std::memory_order_release);
-      } else {
-        std::lock_guard<std::mutex> lock(outcome_mutex);
-        if (worker_outcome == BudgetOutcome::kCompleted) {
-          worker_outcome = result.outcome;
-        }
-      }
-    } catch (...) {
-      // ParallelFor rethrows the error (e.g., the fault harness's injected
-      // bad_alloc) in the calling thread; `done` cancels the siblings.
-      shared.done.store(true, std::memory_order_release);
-      throw;
-    }
-  };
-  ParallelFor(threads, threads, run_worker);
-
-  std::uint64_t total_nodes = shared.nodes.load(std::memory_order_relaxed);
-  std::uint64_t total_restarts =
-      shared.restarts.load(std::memory_order_relaxed);
-  if (shared.has_winner) {
-    HomResult result = std::move(shared.winner);
-    result.nodes = total_nodes;
-    result.restarts = total_restarts;
-    result.nogoods_recorded = store.size();
-    result.outcome = BudgetOutcome::kCompleted;
-    return result;
-  }
-  // Every worker was interrupted (budget, cancellation, or max_nodes).
-  HomResult result;
-  result.status = HomStatus::kExhausted;
-  result.nodes = total_nodes;
-  result.restarts = total_restarts;
-  result.nogoods_recorded = store.size();
-  result.outcome = options.budget != nullptr && options.budget->Interrupted()
-                       ? options.budget->outcome()
-                       : (worker_outcome != BudgetOutcome::kCompleted
-                              ? worker_outcome
-                              : BudgetOutcome::kBudgetExhausted);
-  return result;
+  return HomSearch(from, to, options.forward_checking, options.prefer)
+      .Run(seed, options.budget);
 }
 
-/// The search and the options it reads by reference, kept together so that
-/// moving a PreparedHomSearch never moves the options under the search.
 struct PreparedHomSearch::State {
   State(const Database& from, const Database& to)
-      : search(from, to, options) {}
-  HomOptions options;
+      : search(from, to, /*forward_checking=*/true, /*prefer=*/{}) {}
   HomSearch search;
 };
 
@@ -1034,32 +755,12 @@ PreparedHomSearch& PreparedHomSearch::operator=(PreparedHomSearch&&) noexcept =
 
 HomResult PreparedHomSearch::Run(
     const std::vector<std::pair<Value, Value>>& seed, ExecutionBudget* budget) {
-  state_->options.budget = budget;
-  return state_->search.Run(seed, nullptr, WorkerConfig{0, false, false});
+  return state_->search.Run(seed, budget);
 }
 
 bool HomomorphismExists(const Database& from, const Database& to,
-                        const std::vector<std::pair<Value, Value>>& seed,
-                        const HomOptions& options) {
-  HomResult result = FindHomomorphism(from, to, seed, options);
-  FEATSEP_CHECK(result.status != HomStatus::kExhausted)
-      << "homomorphism search budget exhausted";
-  return result.status == HomStatus::kFound;
-}
-
-bool VerifyHomomorphism(const Database& from, const Database& to,
-                        const std::vector<Value>& mapping) {
-  for (Value v : from.domain()) {
-    if (v >= mapping.size() || mapping[v] == kNoValue) return false;
-  }
-  std::vector<Value> image_args;
-  for (const Fact& fact : from.facts()) {
-    image_args.clear();
-    image_args.reserve(fact.args.size());
-    for (Value v : fact.args) image_args.push_back(mapping[v]);
-    if (!to.ContainsFact(Fact{fact.relation, image_args})) return false;
-  }
-  return true;
+                        const std::vector<std::pair<Value, Value>>& seed) {
+  return FindHomomorphism(from, to, seed).status == HomStatus::kFound;
 }
 
 bool HomEquivalent(const Database& from, const std::vector<Value>& from_tuple,
@@ -1074,8 +775,7 @@ std::optional<bool> TryHomEquivalent(const Database& from,
                                      const std::vector<Value>& from_tuple,
                                      const Database& to,
                                      const std::vector<Value>& to_tuple,
-                                     ExecutionBudget* budget,
-                                     const HomOptions& base) {
+                                     ExecutionBudget* budget) {
   FEATSEP_CHECK_EQ(from_tuple.size(), to_tuple.size());
   std::vector<std::pair<Value, Value>> forward;
   std::vector<std::pair<Value, Value>> backward;
@@ -1083,23 +783,20 @@ std::optional<bool> TryHomEquivalent(const Database& from,
     forward.emplace_back(from_tuple[i], to_tuple[i]);
     backward.emplace_back(to_tuple[i], from_tuple[i]);
   }
-  HomOptions forward_options = base;
-  forward_options.prefer.clear();
-  forward_options.budget = budget;
-  HomResult fwd = FindHomomorphism(from, to, forward, forward_options);
+  HomResult fwd = FindHomomorphism(from, to, forward, {.budget = budget});
   if (fwd.status == HomStatus::kExhausted) return std::nullopt;
   if (fwd.status != HomStatus::kFound) return false;
   // Replay the forward witness as the backward search's value ordering: if
   // h maps v to w, try w -> v first. When h is close to invertible this
   // lets the backward search walk straight to a witness.
-  HomOptions backward_options = base;
-  backward_options.prefer.clear();
-  backward_options.budget = budget;
+  std::vector<std::pair<Value, Value>> prefer;
   for (Value v : from.domain()) {
     Value w = fwd.mapping[v];
-    if (w != kNoValue) backward_options.prefer.emplace_back(w, v);
+    if (w != kNoValue) prefer.emplace_back(w, v);
   }
-  HomResult bwd = FindHomomorphism(to, from, backward, backward_options);
+  HomResult bwd = HomSearch(to, from, /*forward_checking=*/true,
+                            std::move(prefer))
+                      .Run(backward, budget);
   if (bwd.status == HomStatus::kExhausted) return std::nullopt;
   return bwd.status == HomStatus::kFound;
 }

@@ -14,14 +14,12 @@ namespace featsep {
 
 /// Options for the homomorphism search.
 struct HomOptions {
-  /// Maximum number of search-tree nodes (variable assignments) to explore;
-  /// 0 means unbounded. Deciding homomorphism existence is NP-complete, so
-  /// callers probing hard instances should set a budget.
-  std::uint64_t max_nodes = 0;
   /// Cooperative execution budget (deadline / step limit / cancellation),
   /// charged one step per search-tree node; nullptr = unbounded. An
   /// interrupted search returns kExhausted with the budget's outcome —
-  /// never a definitive kNone.
+  /// never a definitive kNone. Deciding homomorphism existence is
+  /// NP-complete, so callers probing hard instances should set one (e.g.
+  /// ExecutionBudget::WithStepLimit to cap the node count).
   ExecutionBudget* budget = nullptr;
   /// Prune neighbor domains on every assignment (forward checking). With
   /// this off, the search only verifies that each touched fact still has a
@@ -33,40 +31,14 @@ struct HomOptions {
   /// (later pairs for the same source win). Affects only exploration order,
   /// never the decision. HomEquivalent uses this to replay the forward
   /// witness mapping as the candidate ordering of the backward search.
-  std::vector<std::pair<Value, Value>> prefer;
-  /// Intra-instance search workers: 1 = the classic sequential search (the
-  /// default — node counts and exploration order are exactly the historical
-  /// ones), 0 = hardware concurrency, n > 1 = n workers. With several
-  /// workers, worker 0 runs the deterministic sequential order while the
-  /// rest run Luby-restart searches over randomized value orders, sharing
-  /// restart nogoods; the first definitive answer wins. The *decision*
-  /// (kFound/kNone) is identical to the sequential search for every thread
-  /// count, and any returned witness is verified before it is reported;
-  /// `HomResult::nodes` and which witness is found become schedule-dependent.
-  /// With a budget or max_nodes, which runs end kExhausted may also vary —
-  /// but a definitive answer found before the limit always wins.
-  std::size_t num_threads = 1;
-  /// Record and consume restart nogoods in the parallel / restart workers.
-  /// Off is an ablation knob (restarts then re-explore refuted prefixes).
-  bool use_nogoods = true;
-  /// Run the single-threaded search as one Luby-restart worker (randomized
-  /// value order, nogood recording) instead of the classic static order.
-  /// Fully deterministic given `rng_seed` — the restart/nogood machinery's
-  /// unit-test and fuzzing mode. Ignored when num_threads resolves > 1.
-  bool sequential_restarts = false;
-  /// Search nodes per Luby unit: restart worker runs are capped at
-  /// Luby(k) * restart_base nodes for k = 1, 2, ….
-  std::uint64_t restart_base = 128;
-  /// Seed for the restart workers' value-order randomization. Two runs with
-  /// equal options and sequential execution explore identically.
-  std::uint64_t rng_seed = 0;
+  std::vector<std::pair<Value, Value>> prefer = {};
 };
 
 /// Outcome of a homomorphism search.
 enum class HomStatus {
   kFound,      ///< A homomorphism exists; `mapping` is a witness.
   kNone,       ///< No homomorphism exists.
-  kExhausted,  ///< Interrupted (node budget or ExecutionBudget) — undecided.
+  kExhausted,  ///< Interrupted by the ExecutionBudget — undecided.
 };
 
 /// Result of a homomorphism search.
@@ -75,15 +47,11 @@ struct HomResult {
   /// For kFound: image of every value of `from`, indexed by value id
   /// (kNoValue for values outside dom(from)).
   std::vector<Value> mapping;
-  /// Search-tree nodes explored (summed over workers when num_threads > 1).
+  /// Search-tree nodes explored (each one charged one budget step).
   std::uint64_t nodes = 0;
-  /// Restarts taken by Luby-restart workers (0 on the sequential path).
-  std::uint64_t restarts = 0;
-  /// Nogoods recorded into the per-call store (0 when nogoods are off).
-  std::uint64_t nogoods_recorded = 0;
   /// Why the search stopped. kCompleted iff `status` is definitive
   /// (kFound/kNone); any other value accompanies kExhausted and names the
-  /// tripped limit (kBudgetExhausted for the legacy max_nodes knob).
+  /// tripped limit.
   BudgetOutcome outcome = BudgetOutcome::kCompleted;
 };
 
@@ -120,8 +88,8 @@ class PreparedHomSearch {
   PreparedHomSearch(PreparedHomSearch&&) noexcept;
   PreparedHomSearch& operator=(PreparedHomSearch&&) noexcept;
 
-  /// The classic sequential search for a homomorphism extending `seed`,
-  /// charged to `budget` (nullptr = unbounded).
+  /// The search for a homomorphism extending `seed`, charged to `budget`
+  /// (nullptr = unbounded).
   HomResult Run(const std::vector<std::pair<Value, Value>>& seed,
                 ExecutionBudget* budget = nullptr);
 
@@ -130,20 +98,10 @@ class PreparedHomSearch {
   std::unique_ptr<State> state_;
 };
 
-/// Convenience wrapper: true iff a homomorphism extending `seed` exists.
-/// Checked programmer error if a node budget is set and exhausted.
+/// Convenience wrapper: true iff a homomorphism extending `seed` exists
+/// (an unbudgeted search, so always decided).
 bool HomomorphismExists(const Database& from, const Database& to,
-                        const std::vector<std::pair<Value, Value>>& seed = {},
-                        const HomOptions& options = {});
-
-/// True iff `mapping` (indexed by value id of `from`, kNoValue = undefined)
-/// is a homomorphism from → to: every value of dom(from) has an image and
-/// every fact maps to a fact of `to`. O(|from| · arity) via the target's
-/// fact-set index. The parallel search verifies every candidate witness
-/// through this before reporting kFound (any-time soundness); exposed for
-/// tests and callers that persist witnesses.
-bool VerifyHomomorphism(const Database& from, const Database& to,
-                        const std::vector<Value>& mapping);
+                        const std::vector<std::pair<Value, Value>>& seed = {});
 
 /// True iff (from, ā) → (to, b̄) and (to, b̄) → (from, ā): the two pointed
 /// databases are homomorphically equivalent. This is the paper's CQ
@@ -154,15 +112,12 @@ bool HomEquivalent(const Database& from, const std::vector<Value>& from_tuple,
 /// Budgeted HomEquivalent: nullopt when `budget` interrupted either
 /// direction before it was decided (the caller must not read nullopt as
 /// "not equivalent"); otherwise the definitive answer. `budget` may be
-/// nullptr (then the result is always engaged). `base` carries search knobs
-/// (num_threads, nogoods, restart tuning) applied to both directions; its
-/// budget/seed-related fields are overridden internally.
+/// nullptr (then the result is always engaged).
 std::optional<bool> TryHomEquivalent(const Database& from,
                                      const std::vector<Value>& from_tuple,
                                      const Database& to,
                                      const std::vector<Value>& to_tuple,
-                                     ExecutionBudget* budget,
-                                     const HomOptions& base = {});
+                                     ExecutionBudget* budget);
 
 }  // namespace featsep
 

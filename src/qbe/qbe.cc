@@ -55,12 +55,10 @@ QbeResult SolveCqQbe(const QbeInstance& instance, const QbeOptions& options) {
   // outcome recorded below marks such an all-clear as undecided.
   std::size_t hit = ParallelFindFirst(
       options.num_threads, instance.negatives.size(), [&](std::size_t i) {
-        HomOptions hom_options;
-        hom_options.budget = options.budget;
-        hom_options.num_threads = options.hom_threads;
         HomResult hom = FindHomomorphism(
             product.db, *instance.db,
-            {{product.tuple[0], instance.negatives[i]}}, hom_options);
+            {{product.tuple[0], instance.negatives[i]}},
+            {.budget = options.budget});
         return hom.status == HomStatus::kFound;
       });
   result.outcome = OutcomeOf(options.budget);

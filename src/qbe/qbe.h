@@ -38,13 +38,6 @@ struct QbeOptions {
   /// 0 = hardware concurrency, 1 = serial (the historical behavior).
   /// Results are identical for every setting.
   std::size_t num_threads = 0;
-  /// Workers *inside* each per-negative homomorphism search of SolveCqQbe
-  /// (HomOptions::num_threads): 1 = the classic sequential kernel (default),
-  /// 0 = hardware concurrency. Useful when S⁻ is small but the product is
-  /// hard. Both levels share the one process-wide pool (util/parallel.h),
-  /// so nesting does not multiply threads. The decision is identical for
-  /// every setting.
-  std::size_t hom_threads = 1;
   /// When non-null, SolveCqmQbe screens candidates through the batched
   /// serve layer: each candidate's full answer set is computed once on the
   /// service's sharded pool and cached by (database digest, candidate), so

@@ -130,61 +130,24 @@ PropertyCheck CheckHomAgainstReference(
     }
   }
 
-  // The deterministic single-worker restart mode: same decision, and two
-  // identically-seeded runs must reproduce each other bit for bit.
-  HomOptions restarting;
-  restarting.sequential_restarts = true;
-  restarting.restart_base = 8;  // Small, so real searches actually restart.
-  restarting.rng_seed = 1;
-  HomResult restarted = FindHomomorphism(from, to, seed, restarting);
-  if ((restarted.status == HomStatus::kFound) != fast_found) {
-    return Violation("hom-vs-reference/restarts",
-                     "decision differs under sequential restart search\n" +
-                         DescribeHomPair(from, to));
-  }
-  if (restarted.status == HomStatus::kFound &&
-      !RefIsHomomorphism(from, to, restarted.mapping)) {
-    return Violation("hom-vs-reference/restarts",
-                     "restart search produced an invalid witness\n" +
-                         DescribeHomPair(from, to));
-  }
-  HomResult replayed = FindHomomorphism(from, to, seed, restarting);
-  if (replayed.status != restarted.status ||
-      replayed.nodes != restarted.nodes ||
-      replayed.restarts != restarted.restarts ||
-      replayed.nogoods_recorded != restarted.nogoods_recorded) {
-    return Violation("hom-vs-reference/restart-determinism",
-                     "two identically-seeded restart runs diverged\n" +
-                         DescribeHomPair(from, to));
-  }
-
-  // Parallel workers with and without nogood sharing: the decision is
-  // schedule-independent and every witness must verify (the witness itself
-  // may legitimately differ between runs).
-  for (std::size_t threads : {2u, 8u}) {
-    for (bool nogoods : {true, false}) {
-      HomOptions parallel;
-      parallel.num_threads = threads;
-      parallel.use_nogoods = nogoods;
-      parallel.restart_base = 8;
-      parallel.rng_seed = 3;
-      HomResult result = FindHomomorphism(from, to, seed, parallel);
-      if ((result.status == HomStatus::kFound) != fast_found) {
-        std::ostringstream detail;
-        detail << "decision differs at " << threads << " threads (nogoods "
-               << (nogoods ? "on" : "off") << ")\n"
-               << DescribeHomPair(from, to);
-        return Violation("hom-vs-reference/parallel", detail.str());
-      }
-      if (result.status == HomStatus::kFound &&
-          !RefIsHomomorphism(from, to, result.mapping)) {
-        std::ostringstream detail;
-        detail << "invalid parallel witness at " << threads
-               << " threads (nogoods " << (nogoods ? "on" : "off") << ")\n"
-               << DescribeHomPair(from, to);
-        return Violation("hom-vs-reference/parallel", detail.str());
-      }
-    }
+  // The prepared search must decide exactly what a fresh FindHomomorphism
+  // does, with the same node count: first on the empty seed, then, after
+  // rewinding, on the instance's seed.
+  PreparedHomSearch prepared(from, to);
+  HomResult unseeded = FindHomomorphism(from, to);
+  HomResult prepared_unseeded = prepared.Run({});
+  HomResult prepared_seeded = prepared.Run(seed);
+  if (prepared_unseeded.status != unseeded.status ||
+      prepared_unseeded.nodes != unseeded.nodes ||
+      prepared_seeded.status != fast.status ||
+      prepared_seeded.nodes != fast.nodes) {
+    std::ostringstream detail;
+    detail << "prepared search differs from FindHomomorphism (nodes "
+           << prepared_unseeded.nodes << " vs " << unseeded.nodes
+           << " unseeded, " << prepared_seeded.nodes << " vs " << fast.nodes
+           << " seeded)\n"
+           << DescribeHomPair(from, to);
+    return Violation("hom-vs-reference/prepared", detail.str());
   }
   return std::nullopt;
 }
@@ -417,22 +380,17 @@ PropertyCheck CheckGhwProperties(const ConjunctiveQuery& query) {
 }
 
 PropertyCheck CheckSepThreadDeterminism(const TrainingDatabase& training) {
-  // The last leg nests parallel hom searches inside the parallel sweep.
-  CqSepResult results[4];
-  const std::size_t thread_counts[4] = {1, 2, 8, 4};
-  const std::size_t hom_thread_counts[4] = {1, 1, 1, 4};
-  for (int i = 0; i < 4; ++i) {
-    CqSepOptions options;
-    options.num_threads = thread_counts[i];
-    options.hom_threads = hom_thread_counts[i];
-    results[i] = DecideCqSep(training, options);
+  CqSepResult results[3];
+  const std::size_t thread_counts[3] = {1, 2, 8};
+  for (int i = 0; i < 3; ++i) {
+    results[i] = DecideCqSep(training, {.num_threads = thread_counts[i]});
   }
-  for (int i = 1; i < 4; ++i) {
+  for (int i = 1; i < 3; ++i) {
     if (results[i].separable != results[0].separable ||
         results[i].conflict != results[0].conflict) {
       std::ostringstream detail;
       detail << "DecideCqSep differs between 1 and " << thread_counts[i]
-             << "x" << hom_thread_counts[i] << " threads\n"
+             << " threads\n"
              << WriteTrainingDatabase(training);
       return Violation("sep/thread-determinism", detail.str());
     }
@@ -492,18 +450,13 @@ PropertyCheck CheckQbeProperties(const Database& db,
     return out.str();
   };
 
-  // SolveCqQbe: 1/2/8-thread determinism of decision and explanation, plus
-  // a 4x4 leg that nests parallel hom searches inside the negative scan.
-  QbeResult results[4];
-  const std::size_t thread_counts[4] = {1, 2, 8, 4};
-  const std::size_t hom_thread_counts[4] = {1, 1, 1, 4};
-  for (int i = 0; i < 4; ++i) {
-    QbeOptions options;
-    options.num_threads = thread_counts[i];
-    options.hom_threads = hom_thread_counts[i];
-    results[i] = SolveCqQbe(instance, options);
+  // SolveCqQbe: 1/2/8-thread determinism of decision and explanation.
+  QbeResult results[3];
+  const std::size_t thread_counts[3] = {1, 2, 8};
+  for (int i = 0; i < 3; ++i) {
+    results[i] = SolveCqQbe(instance, {.num_threads = thread_counts[i]});
   }
-  for (int i = 1; i < 4; ++i) {
+  for (int i = 1; i < 3; ++i) {
     if (results[i].exists != results[0].exists ||
         results[i].explanation.has_value() !=
             results[0].explanation.has_value() ||
@@ -512,9 +465,8 @@ PropertyCheck CheckQbeProperties(const Database& db,
              results[0].explanation->ToString())) {
       return Violation("qbe/thread-determinism",
                        "SolveCqQbe differs between 1 and " +
-                           std::to_string(thread_counts[i]) + "x" +
-                           std::to_string(hom_thread_counts[i]) +
-                           " threads\n" + describe());
+                           std::to_string(thread_counts[i]) + " threads\n" +
+                           describe());
     }
   }
   const QbeResult& cq = results[0];

@@ -35,7 +35,9 @@ using PropertyCheck = std::optional<PropertyViolation>;
 /// FindHomomorphism vs the reference oracle on (from, to, seed):
 ///   - decision agreement (with forward checking on and off),
 ///   - witness validity when the kernel reports kFound,
-///   - decision invariance under a witness-seeded `prefer` ordering.
+///   - decision invariance under a witness-seeded `prefer` ordering,
+///   - PreparedHomSearch agreement (status and node count) on the empty
+///     seed and then, rewound, on `seed`.
 PropertyCheck CheckHomAgainstReference(
     const Database& from, const Database& to,
     const std::vector<std::pair<Value, Value>>& seed = {});

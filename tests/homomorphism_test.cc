@@ -1,5 +1,6 @@
 #include "cq/homomorphism.h"
 
+#include <cstdint>
 #include <memory>
 #include <random>
 
@@ -8,6 +9,7 @@
 #include "relational/database.h"
 #include "relational/schema.h"
 #include "test_util.h"
+#include "util/budget.h"
 
 namespace featsep {
 namespace {
@@ -111,22 +113,21 @@ TEST(HomomorphismTest, RepeatedVariablePositions) {
 }
 
 TEST(HomomorphismTest, BudgetExhaustion) {
-  // A moderately hard instance with a tiny node budget must report
+  // A moderately hard instance with a one-step budget must report
   // exhaustion rather than an answer.
   Database a(GraphSchema());
   AddCycle(a, "a", 9);
   Database b(GraphSchema());
   AddCycle(b, "b", 6);
   AddCycle(b, "c", 4);
-  HomOptions options;
-  options.max_nodes = 1;
-  HomResult result = FindHomomorphism(a, b, {}, options);
+  ExecutionBudget budget = ExecutionBudget::WithStepLimit(1);
+  HomResult result = FindHomomorphism(a, b, {}, {.budget = &budget});
   EXPECT_NE(result.status, HomStatus::kFound);
 }
 
 TEST(HomomorphismTest, BudgetExhaustionMidSearch) {
-  // Hitting max_nodes partway through a search must report kExhausted — a
-  // truncated refutation is not a refutation.
+  // Hitting the step limit partway through a search must report kExhausted
+  // — a truncated refutation is not a refutation.
   Database a(GraphSchema());
   AddCycle(a, "a", 9);
   Database b(GraphSchema());
@@ -135,14 +136,43 @@ TEST(HomomorphismTest, BudgetExhaustionMidSearch) {
   HomResult full = FindHomomorphism(a, b);
   ASSERT_EQ(full.status, HomStatus::kNone);  // 9 divides neither 6 nor 4.
   ASSERT_GT(full.nodes, 2u);
-  HomOptions options;
-  options.max_nodes = full.nodes / 2;
-  HomResult truncated = FindHomomorphism(a, b, {}, options);
+  const std::uint64_t limit = full.nodes / 2;
+  ExecutionBudget truncating = ExecutionBudget::WithStepLimit(limit);
+  HomResult truncated = FindHomomorphism(a, b, {}, {.budget = &truncating});
   EXPECT_EQ(truncated.status, HomStatus::kExhausted);
-  EXPECT_LE(truncated.nodes, options.max_nodes);
+  EXPECT_EQ(truncated.outcome, BudgetOutcome::kBudgetExhausted);
+  EXPECT_LE(truncated.nodes, limit);
   // A budget past the full search's needs leaves the answer intact.
-  options.max_nodes = full.nodes * 2 + 1;
-  EXPECT_EQ(FindHomomorphism(a, b, {}, options).status, HomStatus::kNone);
+  ExecutionBudget ample = ExecutionBudget::WithStepLimit(full.nodes * 2 + 1);
+  HomResult answered = FindHomomorphism(a, b, {}, {.budget = &ample});
+  EXPECT_EQ(answered.status, HomStatus::kNone);
+  EXPECT_EQ(answered.nodes, full.nodes);
+}
+
+TEST(HomomorphismTest, CancelledBudgetReportsExhausted) {
+  Database a(GraphSchema());
+  AddCycle(a, "a", 9);
+  Database b(GraphSchema());
+  AddCycle(b, "b", 4);
+  ExecutionBudget budget;
+  budget.Cancel();
+  HomResult result = FindHomomorphism(a, b, {}, {.budget = &budget});
+  EXPECT_EQ(result.status, HomStatus::kExhausted);
+  EXPECT_EQ(result.outcome, BudgetOutcome::kCancelled);
+  // No cross-call state: the same inputs decide fine on a fresh call.
+  EXPECT_EQ(FindHomomorphism(a, b).status, HomStatus::kNone);
+}
+
+TEST(HomomorphismTest, StepLimitReportsExhaustedNotAnAnswer) {
+  Database a(GraphSchema());
+  AddCycle(a, "a", 9);
+  Database b(GraphSchema());
+  AddCycle(b, "b", 6);
+  AddCycle(b, "c", 4);
+  ExecutionBudget budget = ExecutionBudget::WithStepLimit(3);
+  HomResult result = FindHomomorphism(a, b, {}, {.budget = &budget});
+  EXPECT_EQ(result.status, HomStatus::kExhausted);
+  EXPECT_EQ(result.outcome, BudgetOutcome::kBudgetExhausted);
 }
 
 TEST(HomomorphismTest, EarlyDomainWipeoutPopulatesResult) {

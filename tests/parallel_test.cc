@@ -300,7 +300,7 @@ TEST(ParallelTest, FindFirstExceptionCancelsSiblings) {
 // outlives each batch. These cases check that the pool picks up batch after
 // batch and survives a throwing batch.
 
-TEST(ThreadPoolTest, VisitsEveryIndexAcrossReusedBatches) {
+TEST(ParallelTest, VisitsEveryIndexAcrossReusedBatches) {
   for (std::size_t threads : {1ul, 2ul, 8ul}) {
     // Several batches through the same persistent workers: they must pick
     // up each new batch, not just the first.
@@ -317,7 +317,7 @@ TEST(ThreadPoolTest, VisitsEveryIndexAcrossReusedBatches) {
   }
 }
 
-TEST(ThreadPoolTest, EmptyRangeNeverInvokes) {
+TEST(ParallelTest, EmptyRangeNeverInvokes) {
   for (std::size_t threads : {1ul, 4ul}) {
     bool called = false;
     ParallelFor(threads, 0, [&](std::size_t) { called = true; });
@@ -325,7 +325,7 @@ TEST(ThreadPoolTest, EmptyRangeNeverInvokes) {
   }
 }
 
-TEST(ThreadPoolTest, FewerItemsThanWorkers) {
+TEST(ParallelTest, FewerItemsThanWorkers) {
   std::vector<std::atomic<int>> visits(2);
   ParallelFor(8, 2, [&](std::size_t i) {
     visits[i].fetch_add(1, std::memory_order_relaxed);
@@ -334,7 +334,7 @@ TEST(ThreadPoolTest, FewerItemsThanWorkers) {
   EXPECT_EQ(visits[1].load(), 1);
 }
 
-TEST(ThreadPoolTest, RethrowsWorkerExceptionAndStaysUsable) {
+TEST(ParallelTest, RethrowsWorkerExceptionAndStaysUsable) {
   for (std::size_t threads : {1ul, 2ul, 8ul}) {
     EXPECT_THROW(ParallelFor(threads, 100,
                              [](std::size_t i) {
@@ -354,7 +354,7 @@ TEST(ThreadPoolTest, RethrowsWorkerExceptionAndStaysUsable) {
   }
 }
 
-TEST(ThreadPoolTest, ExceptionSkipsRemainingItems) {
+TEST(ParallelTest, ExceptionSkipsRemainingItems) {
   // A wide batch first grows the pool past the narrow batch's cap; the
   // extra idle workers must not keep the throwing batch running.
   ParallelFor(16, 64, [](std::size_t) {});
@@ -369,7 +369,7 @@ TEST(ThreadPoolTest, ExceptionSkipsRemainingItems) {
   EXPECT_LT(visits.load(), kItems / 2) << "batch kept running after throw";
 }
 
-TEST(ThreadPoolTest, BadAllocPropagatesAndPoolSurvives) {
+TEST(ParallelTest, BadAllocPropagatesAndPoolSurvives) {
   for (int round = 0; round < 3; ++round) {
     EXPECT_THROW(ParallelFor(4, 50,
                              [](std::size_t i) {
