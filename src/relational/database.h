@@ -178,7 +178,7 @@ class Database {
   /// standard libraries* (no std::hash anywhere in its computation; golden
   /// values are pinned in DatabaseDigestTest and the format is specified in
   /// DESIGN.md §13), so it keys the persistent on-disk result cache and the
-  /// multi-process shard protocol as well as the in-memory serve cache
+  /// file-based shard protocol as well as the in-memory serve cache
   /// (serve/eval_service.h, serve/disk_cache.h). Memoized thread-safely.
   std::uint64_t ContentDigest() const;
 

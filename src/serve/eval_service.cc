@@ -275,7 +275,7 @@ std::vector<std::shared_ptr<const FeatureAnswer>> EvalService::Resolve(
 
   // Sharded evaluation of the misses: (feature × entity-block) work items
   // on the shared pool — or, in shard-dir mode, published to the
-  // multi-process protocol. Each item writes disjoint flag slots, so the
+  // file-based shard protocol. Each item writes disjoint flag slots, so the
   // result is bit-identical for every shard count and worker mix.
   const std::vector<Value> entities = db.Entities();
   const std::size_t block = std::max<std::size_t>(1, options_.entity_block);

@@ -40,10 +40,10 @@ struct ServeOptions {
   /// written behind after fresh evaluations. Shared safely between
   /// processes and across restarts; empty disables the disk tier.
   std::string cache_dir;
-  /// Shared work directory for multi-process sharded evaluation
-  /// (serve/shard_protocol.h): cache misses are published as shard jobs
-  /// here and evaluated cooperatively by this process and any
-  /// `featsep_worker` processes attached to the same directory, with
+  /// Shared work directory for sharded evaluation through the shard
+  /// protocol (serve/shard_protocol.h): cache misses are published as shard
+  /// jobs here and evaluated cooperatively by this process and any
+  /// RunShardWorkerDir threads attached to the same directory, with
   /// results merged bit-identically to the in-process path. Empty disables
   /// shard mode. Budgeted (TryResolve) requests always evaluate in-process.
   std::string shard_dir;
@@ -261,7 +261,7 @@ class EvalService {
       const std::vector<ConjunctiveQuery>& features, const Database& db,
       ExecutionBudget* budget);
 
-  /// Evaluates the misses via the multi-process shard protocol
+  /// Evaluates the misses via the file-based shard protocol
   /// (options_.shard_dir), filling each miss's flags; returns false (and
   /// leaves flags untouched) if publishing failed, in which case the
   /// caller falls back to the in-process pool.

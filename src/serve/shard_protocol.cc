@@ -4,6 +4,7 @@
 #include <atomic>
 #include <filesystem>
 #include <functional>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -478,8 +479,8 @@ Result<ShardWorkerStats> WorkOnShardJob(const std::string& job_dir,
   ShardWorkerStats stats;
   FsEnv* env = job.fs();
   // Passes that claimed nothing while observing fresh I/O faults. A worker
-  // on a dead disk must give up (kWorkerExitIoGiveUp) rather than spin: it
-  // cannot even see whether the job still exists.
+  // on a dead disk must give up rather than spin: it cannot even see
+  // whether the job still exists.
   std::size_t fruitless_faulted_passes = 0;
   constexpr std::size_t kMaxFruitlessFaultedPasses = 8;
   while (!ShardJobDone(job_dir, env)) {
@@ -499,7 +500,7 @@ Result<ShardWorkerStats> WorkOnShardJob(const std::string& job_dir,
       if (!done.ok()) {
         // The result could not be published after retries. Requeue our
         // lease so the shard is not stranded until lease expiry, then
-        // surface the give-up (a worker process exits kWorkerExitIoGiveUp).
+        // surface the give-up.
         if (env->Rename(LeasePath(job_dir, *shard).string(),
                         TodoPath(job_dir, *shard).string()) ==
             FsStatus::kError) {
@@ -520,10 +521,6 @@ Result<ShardWorkerStats> WorkOnShardJob(const std::string& job_dir,
       }
     } else {
       fruitless_faulted_passes = 0;
-    }
-    if (options.reclaim_lease.has_value()) {
-      ReclaimExpiredLeases(job_dir, job, *options.reclaim_lease, &stats.io,
-                           nullptr);
     }
     std::this_thread::sleep_for(options.poll);
   }
@@ -547,12 +544,6 @@ Result<ShardMergeResult> CoordinateShardJob(
   // merged[s]: the shard's slots in merge.flags are final (verified result
   // file or in-memory quarantine evaluation).
   std::vector<char> merged(num_shards, 0);
-
-  std::optional<WorkerSupervisor> supervisor;
-  if (options.supervise.has_value()) {
-    supervisor.emplace(*options.supervise);
-    supervisor->Start();
-  }
 
   auto evaluate_in_memory = [&](std::size_t s) {
     const std::size_t feature = s / bpf;
@@ -591,10 +582,9 @@ Result<ShardMergeResult> CoordinateShardJob(
 
   while (true) {
     // Drive the job until every shard is resolved: claim locally when
-    // allowed, reclaim leases of dead workers, keep the supervised fleet
-    // alive, and quarantine shards that keep failing.
+    // allowed, reclaim leases of dead workers, and quarantine shards that
+    // keep failing.
     while (true) {
-      if (supervisor.has_value()) supervisor->Poll();
       bool all_resolved = true;
       for (std::size_t s = 0; s < num_shards; ++s) {
         if (!merged[s] && !env->Exists(ResultPath(job_dir, s).string())) {
@@ -697,11 +687,6 @@ Result<ShardMergeResult> CoordinateShardJob(
   merge.remote_shards =
       accounted >= num_shards ? 0 : num_shards - accounted;
 
-  if (supervisor.has_value()) {
-    supervisor->StopAll();
-    merge.supervisor = supervisor->stats();
-  }
-
   if (!AtomicWrite(env, job.retry, job_dir, DonePath(job_dir), "done\n",
                    &merge.io)) {
     // Non-fatal: workers will still observe AllShardsResolved and stop.
@@ -713,6 +698,10 @@ Result<ShardWorkerStats> RunShardWorkerDir(
     const std::string& work_dir, const ShardWorkerPoolOptions& options) {
   FsEnv* env = options.env != nullptr ? options.env : RealFs();
   ShardWorkerStats total;
+  // Jobs refused for a digest disagreement, skipped for the rest of the
+  // call: loading one again would re-parse and re-hash the same bytes only
+  // to count the same refusal again.
+  std::set<std::string> refused;
   auto last_activity = std::chrono::steady_clock::now();
   while (true) {
     bool worked = false;
@@ -730,13 +719,14 @@ Result<ShardWorkerStats> RunShardWorkerDir(
     }
     std::sort(jobs.begin(), jobs.end());
     for (const std::string& dir : jobs) {
-      if (ShardJobDone(dir, env)) continue;
+      if (refused.count(dir) != 0 || ShardJobDone(dir, env)) continue;
       Result<ShardJob> job = LoadShardJob(dir, env);
       if (!job.ok()) {
         // A digest refusal is poison — evaluating would poison shared
         // caches — and distinct from a partially published or
         // foreign-version job, which simply is not ready yet.
         if (job.error().message() == kDigestRefusalMessage) {
+          refused.insert(dir);
           ++total.digest_refusals;
         }
         continue;

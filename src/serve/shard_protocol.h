@@ -13,7 +13,6 @@
 #include "cq/cq.h"
 #include "relational/database.h"
 #include "serve/disk_cache.h"
-#include "serve/supervisor.h"
 #include "util/fs_env.h"
 #include "util/result.h"
 #include "util/retry.h"
@@ -21,8 +20,10 @@
 namespace featsep {
 namespace serve {
 
-/// File-based multi-process shard protocol for (feature × entity-block)
-/// evaluation sweeps (DESIGN.md §13). One *job* lives in one directory:
+/// File-based shard protocol for (feature × entity-block) evaluation
+/// sweeps (DESIGN.md §13): a coordinator and any number of worker threads
+/// (RunShardWorkerDir) cooperate through one shared directory. One *job*
+/// lives in one directory:
 ///
 ///   <job>/job.fsj       — checksummed job spec: database bytes, feature
 ///                         canonical strings, content digest, block size,
@@ -117,10 +118,10 @@ struct ShardJob {
   }
 };
 
-/// The error message prefix LoadShardJob uses when a job's spelled digest
-/// disagrees with its database bytes. featsep_worker keys its structured
-/// digest-refusal exit code (kWorkerExitDigestRefusal) off this — the one
-/// failure a supervisor must never retry.
+/// The error message LoadShardJob uses when a job's spelled digest
+/// disagrees with its database bytes. RunShardWorkerDir keys its digest
+/// refusal off this: the one load failure that is poison rather than a
+/// job not yet fully published.
 inline constexpr std::string_view kDigestRefusalMessage =
     "job digest disagrees with database content";
 
@@ -164,7 +165,7 @@ std::optional<std::size_t> ClaimShard(const std::string& job_dir,
 /// the shared disk cache — so warm restarts hit even if the coordinator
 /// died before merging. Returns whether that write-through happened; an
 /// error means the result could not be published after retries (the caller
-/// should requeue the lease and, in a worker, exit kWorkerExitIoGiveUp).
+/// should requeue the lease).
 Result<bool> EvaluateClaimedShard(const std::string& job_dir,
                                   const ShardJob& job, std::size_t shard,
                                   ShardIoStats* io = nullptr);
@@ -186,9 +187,6 @@ struct ShardWorkerOptions {
   std::chrono::milliseconds poll{25};
   /// Stop after this many shards (0 = unlimited).
   std::size_t max_shards = 0;
-  /// Workers do not reclaim leases by default (that is the coordinator's
-  /// job); a standalone worker pool with no coordinator can opt in.
-  std::optional<std::chrono::milliseconds> reclaim_lease;
 };
 
 struct ShardWorkerStats {
@@ -196,7 +194,7 @@ struct ShardWorkerStats {
   std::uint64_t entities_evaluated = 0;
   std::uint64_t features_cached = 0;  ///< Features written through the cache.
   /// Jobs refused because their digest disagreed with their database bytes
-  /// (RunShardWorkerDir; poison — never retried).
+  /// (RunShardWorkerDir; poison — each counted once, never retried).
   std::uint64_t digest_refusals = 0;
   ShardIoStats io;
 };
@@ -222,10 +220,6 @@ struct ShardCoordinatorOptions {
   /// job still completes bit-identical, and the poison shard stops being
   /// requeued forever. 0 disables quarantine.
   std::size_t quarantine_after = 3;
-  /// When set, the coordinator runs a WorkerSupervisor over this fleet for
-  /// the duration of the job: spawn at start, restart crashed/give-up
-  /// workers (bounded) on every wait-loop tick, terminate at the end.
-  std::optional<WorkerProcessOptions> supervise;
 };
 
 struct ShardMergeResult {
@@ -240,26 +234,23 @@ struct ShardMergeResult {
   /// Corrupt/unreadable result files deleted and re-queued during merges.
   std::uint64_t corrupt_results = 0;
   ShardIoStats io;
-  /// Snapshot of the supervised fleet's lifecycle (zero when
-  /// ShardCoordinatorOptions::supervise is unset).
-  WorkerSupervisorStats supervisor;
 };
 
 /// Coordinator: drives the job to completion (evaluating locally when
-/// enabled, reclaiming expired leases, supervising a worker fleet when
-/// configured), verifies and merges every shard result, writes the done
-/// marker. A corrupt result file is deleted and its shard re-queued, never
-/// trusted; a shard that keeps failing is quarantined and evaluated
-/// in-memory, so the merge always completes and is always bit-identical to
-/// the serial path.
+/// enabled, reclaiming expired leases), verifies and merges every shard
+/// result, writes the done marker. A corrupt result file is deleted and its
+/// shard re-queued, never trusted; a shard that keeps failing is quarantined
+/// and evaluated in-memory, so the merge always completes and is always
+/// bit-identical to the serial path.
 Result<ShardMergeResult> CoordinateShardJob(
     const std::string& job_dir, const ShardJob& job,
     const ShardCoordinatorOptions& options = {});
 
 /// Scans `work_dir` for job subdirectories (any directory containing
-/// job.fsj) that are not done, and works on each; used by featsep_worker.
-/// Exits once `idle_exit` elapses with nothing to do (0 = one pass only).
-/// Digest-refusing jobs are counted in stats.digest_refusals and skipped.
+/// job.fsj) that are not done, and works on each; run it on worker threads
+/// beside a coordinator. Exits once `idle_exit` elapses with nothing to do
+/// (0 = one pass only). A digest-refusing job is counted once in
+/// stats.digest_refusals and skipped for the rest of the call.
 struct ShardWorkerPoolOptions {
   ShardWorkerOptions worker;
   std::chrono::milliseconds idle_exit{0};

@@ -17,7 +17,6 @@
 #include "cq/evaluation.h"
 #include "serve/disk_cache.h"
 #include "serve/eval_service.h"
-#include "serve/supervisor.h"
 #include "serve/wire_format.h"
 #include "test_util.h"
 #include "util/fs_env.h"
@@ -45,12 +44,10 @@ using serve::ShardJob;
 using serve::ShardJobDone;
 using serve::ShardMergeResult;
 using serve::ShardIoStats;
+using serve::RunShardWorkerDir;
 using serve::ShardWorkerOptions;
+using serve::ShardWorkerPoolOptions;
 using serve::ShardWorkerStats;
-using serve::WorkerExitRestartable;
-using serve::WorkerProcessOptions;
-using serve::WorkerSupervisor;
-using serve::WorkerSupervisorStats;
 using serve::WorkOnShardJob;
 
 class TempDir {
@@ -113,6 +110,39 @@ std::vector<std::vector<char>> SerialFlags(const Database& db) {
   return flags;
 }
 
+/// Rewrites the job spec in `job_dir` so its checksum is valid but its
+/// spelled digest no longer matches the database content.
+void ForgeJobDigest(const fs::path& job_dir, const Database& db) {
+  const fs::path spec = job_dir / "job.fsj";
+  std::string bytes;
+  {
+    std::ifstream in(spec, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Replace the digest line's hex with a different value and re-checksum.
+  const std::string good = serve::wire::DigestHex(db.ContentDigest());
+  const std::string bad = serve::wire::DigestHex(db.ContentDigest() ^ 1);
+  const std::size_t at = bytes.find(good);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, good.size(), bad);
+  const std::size_t checksum_at = bytes.rfind("checksum ");
+  ASSERT_NE(checksum_at, std::string::npos);
+  bytes = serve::wire::WithChecksum(bytes.substr(0, checksum_at));
+  std::ofstream out(spec, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// Number of entries in `dir` (0 when it does not exist).
+std::size_t CountEntries(const fs::path& dir) {
+  std::error_code ec;
+  std::size_t count = 0;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    ++count;
+  }
+  return count;
+}
+
 TEST(ShardProtocolTest, PublishLoadRoundTrip) {
   TempDir dir("featsep-shard-roundtrip");
   Database db = MakeWorld();
@@ -162,33 +192,44 @@ TEST(ShardProtocolTest, DigestContentDisagreementIsRefused) {
   TempDir dir("featsep-shard-digest");
   Database db = MakeWorld();
   ASSERT_TRUE(PublishShardJob(dir.str(), db, FeatureStrings(), 2, "").ok());
-  const fs::path spec = dir.path() / "job.fsj";
-  std::string bytes;
-  {
-    std::ifstream in(spec, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  // Replace the digest line's hex with a different value and re-checksum.
-  const std::string good = serve::wire::DigestHex(db.ContentDigest());
-  const std::string bad = serve::wire::DigestHex(db.ContentDigest() ^ 1);
-  const std::size_t at = bytes.find(good);
-  ASSERT_NE(at, std::string::npos);
-  bytes.replace(at, good.size(), bad);
-  const std::size_t checksum_at = bytes.rfind("checksum ");
-  ASSERT_NE(checksum_at, std::string::npos);
-  bytes = serve::wire::WithChecksum(bytes.substr(0, checksum_at));
-  {
-    std::ofstream out(spec, std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
+  ForgeJobDigest(dir.path(), db);
   Result<ShardJob> loaded = LoadShardJob(dir.str());
   ASSERT_FALSE(loaded.ok());
-  // The exact message is a contract: featsep_worker keys its structured
-  // digest-refusal exit code (kWorkerExitDigestRefusal, poison — never
-  // restarted) off a byte-equal comparison with it.
+  // The exact message is a contract: RunShardWorkerDir tells poison from a
+  // job that is not yet fully published by a byte-equal comparison with it.
   EXPECT_EQ(loaded.error().message(),
             std::string(serve::kDigestRefusalMessage));
-  EXPECT_FALSE(WorkerExitRestartable(serve::kWorkerExitDigestRefusal));
+}
+
+TEST(ShardProtocolTest, WorkerDirRefusesAPoisonJobOnce) {
+  // One worker pass over a directory holding a forged-digest job and a good
+  // one. The poison job is refused once for the whole call, however many
+  // idle passes follow, and never touched; the good job is drained.
+  TempDir work("featsep-shard-poison");
+  Database db = MakeWorld();
+  const fs::path bad = work.path() / "a-bad";
+  const fs::path good = work.path() / "b-good";
+  Result<std::size_t> bad_shards =
+      PublishShardJob(bad.string(), db, FeatureStrings(), 1, "");
+  Result<std::size_t> good_shards =
+      PublishShardJob(good.string(), db, FeatureStrings(), 1, "");
+  ASSERT_TRUE(bad_shards.ok() && good_shards.ok());
+  ForgeJobDigest(bad, db);
+
+  ShardWorkerPoolOptions pool;
+  pool.idle_exit = std::chrono::milliseconds(200);
+  pool.poll = std::chrono::milliseconds(10);
+  Result<ShardWorkerStats> stats = RunShardWorkerDir(work.str(), pool);
+  ASSERT_TRUE(stats.ok()) << stats.error().message();
+  EXPECT_EQ(stats.value().digest_refusals, 1u);
+  EXPECT_EQ(CountEntries(bad / "results"), 0u);
+  EXPECT_EQ(CountEntries(bad / "todo"), bad_shards.value());
+  EXPECT_EQ(stats.value().shards_completed, good_shards.value());
+  for (std::size_t s = 0; s < good_shards.value(); ++s) {
+    EXPECT_TRUE(
+        fs::exists(good / "results" / ("s" + std::to_string(s) + ".fsr")))
+        << "shard " << s;
+  }
 }
 
 TEST(ShardProtocolTest, CoordinatorAloneCompletesAndMatchesSerial) {
@@ -232,6 +273,61 @@ TEST(ShardProtocolTest, WorkerCompletesJobAndCoordinatorOnlyMerges) {
   EXPECT_EQ(merged.value().flags, SerialFlags(db));
   EXPECT_EQ(merged.value().local_shards, 0u);
   EXPECT_EQ(merged.value().remote_shards, job.num_shards());
+}
+
+TEST(ShardProtocolTest, WorkerDirThreadsDrainAJobBitIdentical) {
+  // Two RunShardWorkerDir threads attached to the work directory drain a
+  // published job for a merge-only coordinator, and write every completed
+  // feature through the job's disk cache.
+  TempDir work("featsep-shard-dir-work");
+  TempDir cache("featsep-shard-dir-cache");
+  Database db = MakeWorld();
+  const std::string job_dir = (work.path() / "job").string();
+  ASSERT_TRUE(
+      PublishShardJob(job_dir, db, FeatureStrings(), 1, cache.str()).ok());
+
+  std::vector<Result<ShardWorkerStats>> worker_stats(
+      2, Result<ShardWorkerStats>(ShardWorkerStats{}));
+  std::vector<std::thread> workers;
+  for (Result<ShardWorkerStats>& slot : worker_stats) {
+    workers.emplace_back([&work, &slot] {
+      ShardWorkerPoolOptions pool;
+      pool.idle_exit = std::chrono::milliseconds(200);
+      pool.poll = std::chrono::milliseconds(2);
+      pool.worker.poll = std::chrono::milliseconds(2);
+      slot = RunShardWorkerDir(work.str(), pool);
+    });
+  }
+  ShardJob job = LocalJob(db, 1, cache.str());
+  ShardCoordinatorOptions options;
+  options.evaluate_locally = false;
+  options.poll = std::chrono::milliseconds(1);
+  Result<ShardMergeResult> merged = CoordinateShardJob(job_dir, job, options);
+  for (std::thread& worker : workers) worker.join();
+
+  ASSERT_TRUE(merged.ok()) << merged.error().message();
+  const std::vector<std::vector<char>> serial = SerialFlags(db);
+  EXPECT_EQ(merged.value().flags, serial);
+  EXPECT_EQ(merged.value().remote_shards, job.num_shards());
+  std::uint64_t completed = 0;
+  for (const Result<ShardWorkerStats>& stats : worker_stats) {
+    ASSERT_TRUE(stats.ok()) << stats.error().message();
+    completed += stats.value().shards_completed;
+  }
+  EXPECT_EQ(completed, job.num_shards());
+
+  DiskResultCache disk(cache.str());
+  const std::vector<Value> entities = db.Entities();
+  for (std::size_t f = 0; f < job.features.size(); ++f) {
+    std::vector<std::string> selected;
+    for (std::size_t e = 0; e < entities.size(); ++e) {
+      if (serial[f][e]) selected.push_back(db.value_name(entities[e]));
+    }
+    std::optional<std::vector<std::string>> cached =
+        disk.Load(job.digest, job.feature_strings[f]);
+    ASSERT_TRUE(cached.has_value()) << "feature " << f << " not cached";
+    EXPECT_EQ(*cached, selected) << "feature " << f;
+  }
 }
 
 TEST(ShardProtocolTest, ExpiredLeaseIsReclaimed) {
@@ -354,12 +450,7 @@ TEST(EvalServiceShardTest, ShardModeMatchesSerialBitForBit) {
   EXPECT_EQ(stats.local_shards + stats.remote_shards,
             statistic.features().size() * db.Entities().size());
   // The job directory is scratch, cleaned up after the merge.
-  std::size_t leftover = 0;
-  for (const auto& it : fs::directory_iterator(work.path())) {
-    (void)it;
-    ++leftover;
-  }
-  EXPECT_EQ(leftover, 0u);
+  EXPECT_EQ(CountEntries(work.path()), 0u);
 
   // Warm call: answered from the LRU, no second job.
   EXPECT_EQ(service.Matrix(statistic.features(), db), serial);
@@ -385,7 +476,7 @@ TEST(EvalServiceShardTest, BudgetedRequestsStayInProcess) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault handling: claim/requeue accounting, quarantine, worker supervision.
+// Fault handling: claim/requeue accounting and quarantine.
 
 TEST(ShardProtocolTest, FaultedClaimIsCountedAndNeverTreatedAsAWin) {
   TempDir dir("featsep-shard-claimfault");
@@ -476,115 +567,6 @@ TEST(ShardProtocolTest, QuarantineCompletesJobBitIdenticalUnderFaults) {
   EXPECT_EQ(merged.value().flags, SerialFlags(db));
   EXPECT_GT(merged.value().quarantined_shards, 0u)
       << "no shard was quarantined despite persistent faults";
-}
-
-#ifndef _WIN32
-
-TEST(ShardProtocolTest, CoordinatorSupervisesAFleetForTheJobDuration) {
-  TempDir dir("featsep-shard-supervised");
-  Database db = MakeWorld();
-  ASSERT_TRUE(PublishShardJob(dir.str(), db, FeatureStrings(), 1, "").ok());
-  ShardJob job = LocalJob(db, 1, "");
-
-  // The "workers" just sleep: the coordinator evaluates locally, finishes
-  // the job, and tears the fleet down on its way out.
-  ShardCoordinatorOptions options;
-  options.supervise = WorkerProcessOptions{};
-  options.supervise->argv = {"/bin/sh", "-c", "sleep 30"};
-  options.supervise->num_workers = 2;
-  Result<ShardMergeResult> merged =
-      CoordinateShardJob(dir.str(), job, options);
-  ASSERT_TRUE(merged.ok()) << merged.error().message();
-  EXPECT_EQ(merged.value().flags, SerialFlags(db));
-  EXPECT_EQ(merged.value().supervisor.spawned, 2u);
-  EXPECT_TRUE(ShardJobDone(dir.str()));
-}
-
-TEST(WorkerSupervisorTest, RestartsRestartableExitsWithinBudget) {
-  WorkerProcessOptions options;
-  options.argv = {"/bin/sh", "-c", "exit 4"};  // kWorkerExitIoGiveUp.
-  options.num_workers = 2;
-  options.max_restarts = 2;
-  WorkerSupervisor supervisor(options);
-  ASSERT_TRUE(supervisor.Start());
-  for (int i = 0; i < 5000 && supervisor.Poll() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  WorkerSupervisorStats stats = supervisor.stats();
-  EXPECT_EQ(supervisor.live_workers(), 0u);
-  // Per slot: the initial spawn plus two restarts, every exit restartable,
-  // then the slot is abandoned with its budget spent.
-  EXPECT_EQ(stats.spawned, 6u);
-  EXPECT_EQ(stats.restarts, 4u);
-  EXPECT_EQ(stats.restartable_exits, 6u);
-  EXPECT_EQ(stats.restart_budget_exhausted, 2u);
-  EXPECT_EQ(stats.poison_exits, 0u);
-  EXPECT_EQ(stats.clean_exits, 0u);
-}
-
-TEST(WorkerSupervisorTest, PoisonExitsAreNeverRestarted) {
-  WorkerProcessOptions options;
-  options.argv = {"/bin/sh", "-c", "exit 3"};  // kWorkerExitDigestRefusal.
-  options.num_workers = 2;
-  options.max_restarts = 3;  // Budget available — but must not be used.
-  WorkerSupervisor supervisor(options);
-  ASSERT_TRUE(supervisor.Start());
-  for (int i = 0; i < 5000 && supervisor.Poll() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  WorkerSupervisorStats stats = supervisor.stats();
-  EXPECT_EQ(supervisor.live_workers(), 0u);
-  EXPECT_EQ(stats.spawned, 2u);
-  EXPECT_EQ(stats.restarts, 0u);
-  EXPECT_EQ(stats.poison_exits, 2u);
-  EXPECT_EQ(stats.restart_budget_exhausted, 0u);
-}
-
-TEST(WorkerSupervisorTest, CleanExitsNeedNoRestart) {
-  WorkerProcessOptions options;
-  options.argv = {"/bin/sh", "-c", "exit 0"};
-  options.num_workers = 1;
-  WorkerSupervisor supervisor(options);
-  ASSERT_TRUE(supervisor.Start());
-  for (int i = 0; i < 5000 && supervisor.Poll() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  WorkerSupervisorStats stats = supervisor.stats();
-  EXPECT_EQ(stats.spawned, 1u);
-  EXPECT_EQ(stats.clean_exits, 1u);
-  EXPECT_EQ(stats.restarts, 0u);
-}
-
-TEST(WorkerSupervisorTest, SignalDeathIsRestartable) {
-  WorkerProcessOptions options;
-  options.argv = {"/bin/sh", "-c", "kill -9 $$"};
-  options.num_workers = 1;
-  options.max_restarts = 1;
-  WorkerSupervisor supervisor(options);
-  ASSERT_TRUE(supervisor.Start());
-  for (int i = 0; i < 5000 && supervisor.Poll() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  WorkerSupervisorStats stats = supervisor.stats();
-  EXPECT_EQ(stats.spawned, 2u);
-  EXPECT_EQ(stats.crashes, 2u);
-  EXPECT_EQ(stats.restarts, 1u);
-  EXPECT_EQ(stats.restart_budget_exhausted, 1u);
-}
-
-#endif  // !_WIN32
-
-TEST(WorkerExitCodeTest, RestartabilityContract) {
-  EXPECT_FALSE(WorkerExitRestartable(serve::kWorkerExitClean));
-  EXPECT_FALSE(WorkerExitRestartable(serve::kWorkerExitUsage));
-  EXPECT_FALSE(WorkerExitRestartable(serve::kWorkerExitDigestRefusal));
-  EXPECT_TRUE(WorkerExitRestartable(serve::kWorkerExitIoGiveUp));
-  EXPECT_TRUE(WorkerExitRestartable(serve::kWorkerExitCrash));
-  EXPECT_FALSE(WorkerExitRestartable(127)) << "exec failure must be poison";
-  EXPECT_STREQ(serve::WorkerExitCodeName(serve::kWorkerExitDigestRefusal),
-               "digest-refusal");
-  EXPECT_STREQ(serve::WorkerExitCodeName(serve::kWorkerExitIoGiveUp),
-               "io-give-up");
 }
 
 }  // namespace
