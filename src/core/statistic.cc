@@ -20,9 +20,7 @@ const ConjunctiveQuery& Statistic::feature(std::size_t i) const {
   return features_[i];
 }
 
-FeatureVector Statistic::Vector(const Database& db, Value entity,
-                                serve::EvalService* service) const {
-  if (service != nullptr) return service->Vector(features_, db, entity);
+FeatureVector Statistic::Vector(const Database& db, Value entity) const {
   FeatureVector vector;
   vector.reserve(features_.size());
   for (const ConjunctiveQuery& q : features_) {
@@ -31,9 +29,7 @@ FeatureVector Statistic::Vector(const Database& db, Value entity,
   return vector;
 }
 
-std::vector<FeatureVector> Statistic::Matrix(
-    const Database& db, serve::EvalService* service) const {
-  if (service != nullptr) return service->Matrix(features_, db);
+std::vector<FeatureVector> Statistic::Matrix(const Database& db) const {
   std::vector<Value> entities = db.Entities();
   std::vector<FeatureVector> matrix(entities.size());
   for (std::size_t i = 0; i < entities.size(); ++i) {
@@ -114,11 +110,10 @@ std::string Statistic::ToString() const {
   return out.str();
 }
 
-Labeling SeparatorModel::Apply(const Database& db,
-                               serve::EvalService* service) const {
+Labeling SeparatorModel::Apply(const Database& db) const {
   Labeling labeling;
   std::vector<Value> entities = db.Entities();
-  std::vector<FeatureVector> matrix = statistic.Matrix(db, service);
+  std::vector<FeatureVector> matrix = statistic.Matrix(db);
   for (std::size_t i = 0; i < entities.size(); ++i) {
     labeling.Set(entities[i], classifier.Classify(matrix[i]));
   }
@@ -153,12 +148,10 @@ SeparatorModel PruneZeroWeights(const Statistic& features,
 }
 
 TrainingCollection MakeTrainingCollection(const Statistic& statistic,
-                                          const TrainingDatabase& training,
-                                          serve::EvalService* service) {
+                                          const TrainingDatabase& training) {
   TrainingCollection collection;
   std::vector<Value> entities = training.Entities();
-  std::vector<FeatureVector> matrix =
-      statistic.Matrix(training.database(), service);
+  std::vector<FeatureVector> matrix = statistic.Matrix(training.database());
   for (std::size_t i = 0; i < entities.size(); ++i) {
     collection.emplace_back(std::move(matrix[i]),
                             training.label(entities[i]));

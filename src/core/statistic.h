@@ -38,11 +38,10 @@ struct PartialMatrix {
 /// entity e of a database D to the vector Π^D(e) ∈ {1, -1}ⁿ of feature
 /// indicators (paper, Section 3).
 ///
-/// The evaluation entry points take an optional serve::EvalService — the
-/// batched, caching, sharded evaluation path (DESIGN.md §8). With
-/// `service == nullptr` (the default) they evaluate serially in the calling
-/// thread, feature by feature, exactly as before; with a service they
-/// produce bit-identical results through its cache and the shared pool.
+/// Vector and Matrix evaluate serially in the calling thread, feature by
+/// feature. TryMatrix optionally takes a serve::EvalService — the batched,
+/// caching, sharded evaluation path (DESIGN.md §8) — and produces
+/// bit-identical results through its cache and the shared pool.
 class Statistic {
  public:
   Statistic() = default;
@@ -52,14 +51,11 @@ class Statistic {
   const std::vector<ConjunctiveQuery>& features() const { return features_; }
   const ConjunctiveQuery& feature(std::size_t i) const;
 
-  /// Π^D(e) for one entity. The serve path requires `entity` ∈ η(D).
-  FeatureVector Vector(const Database& db, Value entity,
-                       serve::EvalService* service = nullptr) const;
+  /// Π^D(e) for one entity.
+  FeatureVector Vector(const Database& db, Value entity) const;
 
   /// Π^D(e) for all entities of D, in the order of db.Entities().
-  std::vector<FeatureVector> Matrix(const Database& db,
-                                    serve::EvalService* service = nullptr)
-      const;
+  std::vector<FeatureVector> Matrix(const Database& db) const;
 
   /// Budgeted Matrix: `budget` (nullptr = unbounded) is threaded into every
   /// per-cell homomorphism search and an interrupted computation returns the
@@ -88,8 +84,7 @@ struct SeparatorModel {
 
   /// Labels every entity of `db` by Λ(Π^D(e)) — the classification task
   /// (paper, Section 5.3 / L-CLS).
-  Labeling Apply(const Database& db,
-                 serve::EvalService* service = nullptr) const;
+  Labeling Apply(const Database& db) const;
 
   /// Number of entities of the training database the model mislabels.
   std::size_t TrainingErrors(const TrainingDatabase& training) const;
@@ -105,9 +100,7 @@ SeparatorModel PruneZeroWeights(const Statistic& features,
 /// The training collection (Π^D(e), λ(e)) for all entities of the training
 /// database, in the order of Entities().
 TrainingCollection MakeTrainingCollection(const Statistic& statistic,
-                                          const TrainingDatabase& training,
-                                          serve::EvalService* service =
-                                              nullptr);
+                                          const TrainingDatabase& training);
 
 }  // namespace featsep
 

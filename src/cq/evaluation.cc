@@ -130,11 +130,6 @@ std::vector<Value> CqEvaluator::Evaluate(const Database& db) const {
   return result;
 }
 
-bool CqSelects(const ConjunctiveQuery& query, const Database& db,
-               Value entity) {
-  return CqEvaluator(query).SelectsEntity(db, entity);
-}
-
 std::vector<Value> EvaluateUnaryCq(const ConjunctiveQuery& query,
                                    const Database& db) {
   return CqEvaluator(query).Evaluate(db);

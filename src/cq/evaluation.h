@@ -91,9 +91,7 @@ class CqEvaluator {
   bool has_entity_atom_ = false;
 };
 
-/// One-shot helpers.
-bool CqSelects(const ConjunctiveQuery& query, const Database& db,
-               Value entity);
+/// One-shot helper.
 std::vector<Value> EvaluateUnaryCq(const ConjunctiveQuery& query,
                                    const Database& db);
 

@@ -10,7 +10,6 @@
 #include "cq/evaluation.h"
 #include "cq/homomorphism.h"
 #include "cq/product.h"
-#include "serve/eval_service.h"
 #include "util/budget.h"
 #include "util/check.h"
 #include "util/parallel.h"
@@ -138,78 +137,48 @@ QbeResult SolveCqmQbe(const QbeInstance& instance, std::size_t m,
 
   // Each candidate query is screened independently; fan the screens out
   // and return the first explanation in enumeration order (among indices ≥
-  // first_candidate). The serve path walks candidates serially but
-  // computes (and caches) each candidate's full answer set on the
-  // service's sharded pool — repeated sweeps over the same database
-  // content then screen from the cache alone.
+  // first_candidate).
   //
   // candidates_screened tracking makes interrupted sweeps resumable: it
   // counts the longest prefix of *definitively rejected* candidates, so a
   // re-run starting there re-screens nothing that was already decided and
-  // the resumed answer matches the uninterrupted one.
+  // the resumed answer matches the uninterrupted one. Per-candidate
+  // "definitively rejected" flags recover that prefix even when some
+  // screens were interrupted out of order. C++20 value-initializes the
+  // atomics.
   const std::size_t first = options.first_candidate;
   const std::size_t pending = candidates.size() - first;
-  std::size_t hit = candidates.size();
-  if (options.service != nullptr) {
-    for (std::size_t index = first; index < candidates.size(); ++index) {
-      std::shared_ptr<const serve::FeatureAnswer> answer =
-          options.service->TryResolve({candidates[index]}, db,
-                                      options.budget)[0];
-      if (answer == nullptr) {
-        // Interrupted mid-candidate: the prefix ends here.
-        result.outcome = OutcomeOf(options.budget);
-        return result;
-      }
-      auto screens = [&] {
+  std::vector<std::atomic<char>> rejected(pending);
+  const std::size_t relative = ParallelFindFirst(
+      options.num_threads, pending, [&](std::size_t i) {
+        const std::size_t index = first + i;
+        CqEvaluator evaluator(candidates[index]);
+        CqEvaluator::Binding binding = evaluator.Bind(db);
         for (Value e : instance.positives) {
-          if (!answer->Selects(db, e)) return false;
+          std::optional<bool> selects =
+              binding.TrySelectsEntity(e, options.budget);
+          if (!selects.has_value()) return false;  // Undecided.
+          if (!*selects) {
+            rejected[i].store(1, std::memory_order_relaxed);
+            return false;
+          }
         }
         for (Value b : instance.negatives) {
-          if (answer->Selects(db, b)) return false;
+          std::optional<bool> selects =
+              binding.TrySelectsEntity(b, options.budget);
+          if (!selects.has_value()) return false;  // Undecided.
+          if (*selects) {
+            rejected[i].store(1, std::memory_order_relaxed);
+            return false;
+          }
         }
         return true;
-      };
-      if (screens()) {
-        hit = index;
-        break;
-      }
-      result.candidates_screened = index + 1;
-    }
-  } else {
-    // Parallel sweep: per-candidate "definitively rejected" flags let us
-    // recover the rejected prefix even when some screens were interrupted
-    // out of order. C++20 value-initializes the atomics.
-    std::vector<std::atomic<char>> rejected(pending);
-    std::size_t relative = ParallelFindFirst(
-        options.num_threads, pending, [&](std::size_t i) {
-          const std::size_t index = first + i;
-          CqEvaluator evaluator(candidates[index]);
-          CqEvaluator::Binding binding = evaluator.Bind(db);
-          for (Value e : instance.positives) {
-            std::optional<bool> selects =
-                binding.TrySelectsEntity(e, options.budget);
-            if (!selects.has_value()) return false;  // Undecided.
-            if (!*selects) {
-              rejected[i].store(1, std::memory_order_relaxed);
-              return false;
-            }
-          }
-          for (Value b : instance.negatives) {
-            std::optional<bool> selects =
-                binding.TrySelectsEntity(b, options.budget);
-            if (!selects.has_value()) return false;  // Undecided.
-            if (*selects) {
-              rejected[i].store(1, std::memory_order_relaxed);
-              return false;
-            }
-          }
-          return true;
-        });
-    hit = relative < pending ? first + relative : candidates.size();
-    for (std::size_t i = 0; first + i < hit; ++i) {
-      if (rejected[i].load(std::memory_order_relaxed) == 0) break;
-      result.candidates_screened = first + i + 1;
-    }
+      });
+  const std::size_t hit =
+      relative < pending ? first + relative : candidates.size();
+  for (std::size_t i = 0; first + i < hit; ++i) {
+    if (rejected[i].load(std::memory_order_relaxed) == 0) break;
+    result.candidates_screened = first + i + 1;
   }
   result.outcome = OutcomeOf(options.budget);
   if (hit < candidates.size()) {

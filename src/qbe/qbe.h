@@ -11,10 +11,6 @@
 
 namespace featsep {
 
-namespace serve {
-class EvalService;
-}  // namespace serve
-
 /// A query-by-example instance (paper, Section 6.1): a database together
 /// with unary positive and negative example sets. An L-explanation is a
 /// unary query q ∈ L with S⁺ ⊆ q(D) and q(D) ∩ S⁻ = ∅.
@@ -38,14 +34,6 @@ struct QbeOptions {
   /// 0 = hardware concurrency, 1 = serial (the historical behavior).
   /// Results are identical for every setting.
   std::size_t num_threads = 0;
-  /// When non-null, SolveCqmQbe screens candidates through the batched
-  /// serve layer: each candidate's full answer set is computed once on the
-  /// service's sharded pool and cached by (database digest, candidate), so
-  /// repeated sweeps over the same database — e.g. QBE with an evolving
-  /// example set — reuse prior evaluations instead of re-running the
-  /// kernel. The returned explanation is identical (first in enumeration
-  /// order); `num_threads` is ignored on this path (the service shards).
-  serve::EvalService* service = nullptr;
   /// Cooperative budget threaded into every homomorphism search, cover
   /// game, and candidate screen; nullptr = unbounded. Interrupted runs
   /// report their outcome in QbeResult::outcome.

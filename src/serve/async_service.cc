@@ -1,6 +1,7 @@
 #include "serve/async_service.h"
 
 #include <algorithm>
+#include <future>
 #include <utility>
 
 #include "util/parallel.h"
@@ -115,10 +116,6 @@ const RequestResult& RequestHandle::Wait() const {
   return request_->future.get();
 }
 
-std::shared_future<RequestResult> RequestHandle::future() const {
-  return request_->future;
-}
-
 void RequestHandle::Cancel() const {
   if (request_ != nullptr) request_->budget.Cancel();
 }
@@ -163,15 +160,9 @@ AsyncEvalService::~AsyncEvalService() {
 RequestHandle AsyncEvalService::Submit(std::vector<ConjunctiveQuery> features,
                                        std::shared_ptr<const Database> db,
                                        const SubmitOptions& submit) {
-  bool has_deadline = false;
+  const bool has_deadline = submit.timeout.has_value();
   ExecutionBudget::Clock::time_point deadline{};
-  const ExecutionBudget::Clock::duration timeout =
-      submit.timeout.has_value() ? *submit.timeout : options_.default_timeout;
-  if (submit.timeout.has_value() ||
-      options_.default_timeout != ExecutionBudget::Clock::duration::zero()) {
-    has_deadline = true;
-    deadline = ExecutionBudget::Clock::now() + timeout;
-  }
+  if (has_deadline) deadline = ExecutionBudget::Clock::now() + *submit.timeout;
 
   const std::size_t index = static_cast<std::size_t>(submit.priority);
   std::shared_ptr<Request> request;

@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -71,18 +70,14 @@ struct AsyncServeOptions {
   /// process-wide pool (util/parallel.h), which all dispatchers share, so
   /// dispatchers add at most one thread each on top of the pool.
   std::size_t num_dispatchers = 1;
-  /// Deadline applied to requests whose SubmitOptions leave `timeout`
-  /// unset, measured from Submit; zero = unbounded.
-  ExecutionBudget::Clock::duration default_timeout{0};
 };
 
 /// Per-request Submit parameters.
 struct SubmitOptions {
   RequestPriority priority = RequestPriority::kInteractive;
-  /// Deadline measured from Submit. Unset: AsyncServeOptions's
-  /// default_timeout. A zero (or negative) value is an already-expired
-  /// deadline: the request is admitted and completes as kExpired without
-  /// touching the kernel.
+  /// Deadline measured from Submit; unset = no deadline. A zero (or
+  /// negative) value is an already-expired deadline: the request is
+  /// admitted and completes as kExpired without touching the kernel.
   std::optional<ExecutionBudget::Clock::duration> timeout;
   /// Deterministic step budget (ExecutionBudget::WithStepLimit); 0 = none.
   /// Unlike wall-clock deadlines, step limits interrupt at reproducible
@@ -170,10 +165,6 @@ class RequestHandle {
   /// rejected request (its result is ready before Submit returns).
   const RequestResult& Wait() const;
 
-  /// The future-flavored API: a shared_future completing with the terminal
-  /// result, for callers composing with std::future machinery.
-  std::shared_future<RequestResult> future() const;
-
   /// Requests cancellation: latches the request's budget, so a queued
   /// request terminalizes as kCancelled at dequeue and a running one
   /// unwinds cooperatively (bounded by one kernel event + one clock
@@ -204,7 +195,7 @@ class RequestHandle {
 ///
 /// Destruction is a clean shutdown: queued requests terminalize as
 /// kCancelled without running, in-flight budgets are cancelled, and every
-/// handle's future is satisfied before the destructor returns.
+/// handle's result is ready before the destructor returns.
 class AsyncEvalService {
  public:
   explicit AsyncEvalService(const AsyncServeOptions& options = {});

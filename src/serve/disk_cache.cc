@@ -253,47 +253,6 @@ bool DiskResultCache::Remove(std::uint64_t content_digest,
   return false;
 }
 
-DiskSweepResult DiskResultCache::Sweep(std::uint64_t max_bytes) {
-  DiskSweepResult result;
-  FsListResult listing = env_->ListDir(dir_);
-  result.scan_errors = listing.scan_errors;
-  if (listing.status != FsStatus::kOk) ++result.scan_errors;
-  struct Entry {
-    std::string name;
-    std::uint64_t bytes = 0;
-    std::filesystem::file_time_type mtime;
-  };
-  std::vector<Entry> entries;
-  for (FsDirEntry& item : listing.entries) {
-    const std::string& name = item.name;
-    if (name.size() < 4 || name.compare(name.size() - 4, 4, ".fse") != 0) {
-      continue;
-    }
-    result.bytes_before += item.size;
-    entries.push_back(Entry{std::move(item.name), item.size, item.mtime});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              // Oldest mtime first; name as a deterministic tiebreak.
-              if (a.mtime != b.mtime) return a.mtime < b.mtime;
-              return a.name < b.name;
-            });
-  result.bytes_after = result.bytes_before;
-  for (const Entry& entry : entries) {
-    if (result.bytes_after <= max_bytes) break;
-    const std::string path =
-        (std::filesystem::path(dir_) / entry.name).string();
-    if (env_->Remove(path) == FsStatus::kOk) {
-      result.bytes_after -= entry.bytes;
-      ++result.entries_removed;
-    }
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_.swept += result.entries_removed;
-  stats_.scan_errors += result.scan_errors;
-  return result;
-}
-
 std::uint64_t DiskResultCache::CollectStaleTmp(std::chrono::milliseconds age) {
   const std::string tmp_dir = (std::filesystem::path(dir_) / "tmp").string();
   FsListResult listing = env_->ListDir(tmp_dir);

@@ -64,8 +64,6 @@ struct DiskCacheStats {
   /// Entries explicitly deleted (Remove) — stale-digest drops after a
   /// delta re-publish.
   std::uint64_t removed = 0;
-  /// Entries evicted by the GC (Sweep), oldest mtime first.
-  std::uint64_t swept = 0;
   /// Loads that exhausted their retries on a read *fault* (not absence).
   /// Distinct from `misses` bookkeeping-wise so the serve-layer circuit
   /// breaker can tell a cold cache from a sick disk.
@@ -79,19 +77,8 @@ struct DiskCacheStats {
   std::uint64_t remove_failures = 0;
   /// Orphaned tmp files collected by startup/explicit GC.
   std::uint64_t tmp_collected = 0;
-  /// Cumulative directory-scan errors observed by Sweep/CollectStaleTmp —
-  /// nonzero means some GC pass ran over an incomplete listing.
-  std::uint64_t scan_errors = 0;
-};
-
-/// Outcome of one DiskResultCache::Sweep pass.
-struct DiskSweepResult {
-  std::uint64_t bytes_before = 0;  ///< Total `.fse` bytes found by the scan.
-  std::uint64_t bytes_after = 0;   ///< Total remaining after evictions.
-  std::uint64_t entries_removed = 0;
-  /// Directory entries the scan failed to stat or iterate past: nonzero
-  /// means bytes_before undercounts and the pass may have missed garbage —
-  /// reported, never silently ignored.
+  /// Cumulative directory-scan errors observed by CollectStaleTmp —
+  /// nonzero means some tmp GC pass ran over an incomplete listing.
   std::uint64_t scan_errors = 0;
 };
 
@@ -188,16 +175,6 @@ class DiskResultCache {
   /// removed. Used by delta maintenance: once an answer is re-published
   /// under a new digest, the stale-digest entry must never be served again.
   bool Remove(std::uint64_t content_digest, const std::string& feature);
-
-  /// Minimal GC: scans the directory's `.fse` entries and, while their
-  /// total size exceeds `max_bytes`, deletes the oldest-mtime entry first.
-  /// Entries are judged by file size and mtime only — corrupt or
-  /// foreign-version files count toward the total like any other and are
-  /// swept in the same order (a corrupt entry would be deleted on its next
-  /// Load anyway). Safe to race with concurrent Store/Load in any process:
-  /// a swept entry simply becomes a future miss. Scan errors are counted in
-  /// the result, never silently swallowed.
-  DiskSweepResult Sweep(std::uint64_t max_bytes);
 
   /// Collects tmp/ files older than `age` — the orphans a crash between
   /// tmp-write and rename leaves behind. Returns the number collected.

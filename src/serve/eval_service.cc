@@ -42,16 +42,11 @@ RetryPolicy DurableRetryPolicy(const ServeOptions& options) {
   return retry;
 }
 
-}  // namespace
+/// Shard-mode lease: a shard claimed by a worker that died is reclaimed and
+/// re-run after this long.
+constexpr std::chrono::milliseconds kShardLease{10000};
 
-const char* DiskHealthName(DiskHealth health) {
-  switch (health) {
-    case DiskHealth::kClosed: return "closed";
-    case DiskHealth::kOpen: return "open";
-    case DiskHealth::kHalfOpen: return "half-open";
-  }
-  return "?";
-}
+}  // namespace
 
 EvalService::EvalService(const ServeOptions& options) : options_(options) {
   if (!options_.cache_dir.empty()) {
@@ -192,7 +187,7 @@ bool EvalService::ResolveMissesSharded(std::vector<Miss>& misses,
   job.entities = entities;
 
   ShardCoordinatorOptions coordinator;
-  coordinator.lease = options_.shard_lease;
+  coordinator.lease = kShardLease;
   Result<ShardMergeResult> merged =
       CoordinateShardJob(job_dir, job, coordinator);
   if (!merged.ok()) return false;
@@ -374,7 +369,6 @@ std::vector<std::shared_ptr<const FeatureAnswer>> EvalService::Resolve(
       }
       NoteDiskResult(disk_->Store(digest, miss.key.second, std::move(names)));
     }
-    MaybeSweepDisk();
   }
   return answers;
 }
@@ -383,11 +377,6 @@ std::vector<std::shared_ptr<const FeatureAnswer>> EvalService::TryResolve(
     const std::vector<ConjunctiveQuery>& features, const Database& db,
     ExecutionBudget* budget) {
   return Resolve(features, db, budget);
-}
-
-std::shared_ptr<const FeatureAnswer> EvalService::Answer(
-    const ConjunctiveQuery& feature, const Database& db) {
-  return Resolve({feature}, db, nullptr)[0];
 }
 
 std::vector<FeatureVector> EvalService::Matrix(
@@ -505,16 +494,7 @@ void EvalService::Republish(std::uint64_t old_digest, std::uint64_t new_digest,
         disk_->Store(new_digest, feature,
                      std::vector<std::string>(answer->names().begin(),
                                               answer->names().end())));
-    MaybeSweepDisk();
   }
-}
-
-void EvalService::MaybeSweepDisk() {
-  if (disk_ == nullptr || options_.disk_cache_max_bytes == 0) return;
-  // No GC against a sick disk: while the breaker is open the sweep would
-  // only accumulate scan/remove failures.
-  if (disk_health() == DiskHealth::kOpen) return;
-  disk_->Sweep(options_.disk_cache_max_bytes);
 }
 
 }  // namespace serve

@@ -47,13 +47,6 @@ struct ServeOptions {
   /// results merged bit-identically to the in-process path. Empty disables
   /// shard mode. Budgeted (TryResolve) requests always evaluate in-process.
   std::string shard_dir;
-  /// Shard-mode lease: a shard claimed by a worker that died is reclaimed
-  /// and re-run after this long.
-  std::chrono::milliseconds shard_lease{10000};
-  /// Disk-tier GC budget in bytes: when the durable cache directory exceeds
-  /// this, EvalService opportunistically sweeps oldest-mtime entries after
-  /// write-behind (DiskResultCache::Sweep). 0 = unlimited, never sweep.
-  std::uint64_t disk_cache_max_bytes = 0;
   /// Filesystem backend for the durable tiers (disk cache + shard
   /// protocol); null = the real filesystem. Tests and the crashio fuzzer
   /// inject a FaultFsEnv here.
@@ -79,8 +72,6 @@ enum class DiskHealth : std::uint8_t {
   kOpen,        ///< Tripped: disk bypassed, serving from LRU + compute.
   kHalfOpen,    ///< Probing: one operation in flight to test recovery.
 };
-
-const char* DiskHealthName(DiskHealth health);
 
 /// Counters for observability and tests. Snapshot via EvalService::stats().
 struct ServeStats {
@@ -184,12 +175,6 @@ class EvalService {
 
   const ServeOptions& options() const { return options_; }
 
-  /// The full answer set of `feature` over `db`'s entities, from the cache
-  /// when warm. The feature must be a unary query over a schema equal to
-  /// `db`'s. Never returns nullptr.
-  std::shared_ptr<const FeatureAnswer> Answer(const ConjunctiveQuery& feature,
-                                              const Database& db);
-
   /// Π^D(e) for all entities of D in the order of db.Entities(), with rows
   /// indexed like core/statistic.h's Statistic::Matrix — one entry of ±1
   /// per feature, in feature order.
@@ -255,7 +240,7 @@ class EvalService {
   struct Miss;
 
   /// Cache lookups + batched evaluation of the misses; the workhorse
-  /// behind Answer/Matrix/Vector/TryResolve. Returns one answer per
+  /// behind Matrix/Vector/TryResolve. Returns one answer per
   /// feature; with a non-null budget, interrupted features are nullptr.
   std::vector<std::shared_ptr<const FeatureAnswer>> Resolve(
       const std::vector<ConjunctiveQuery>& features, const Database& db,
@@ -270,9 +255,6 @@ class EvalService {
 
   std::shared_ptr<const FeatureAnswer> CacheGet(const CacheKey& key);
   void CachePut(CacheKey key, std::shared_ptr<const FeatureAnswer> answer);
-  /// Runs the disk-tier GC when options_.disk_cache_max_bytes is set;
-  /// called opportunistically after write-behind.
-  void MaybeSweepDisk();
 
   /// Breaker gate: true when the disk tier may be touched right now. While
   /// open, returns false (counting a short-circuit) until the probe

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -50,6 +51,7 @@ struct Cursor {
 inline bool ParseU64(std::string_view token, std::uint64_t* out,
                      int base = 10) {
   if (token.empty()) return false;
+  const auto radix = static_cast<std::uint64_t>(base);
   std::uint64_t value = 0;
   for (char c : token) {
     std::uint64_t d;
@@ -60,9 +62,11 @@ inline bool ParseU64(std::string_view token, std::uint64_t* out,
     } else {
       return false;
     }
-    std::uint64_t next = value * static_cast<std::uint64_t>(base) + d;
-    if (next < value) return false;  // Overflow.
-    value = next;
+    // value * radix + d must not exceed the maximum: bound before multiplying.
+    if (value > (std::numeric_limits<std::uint64_t>::max() - d) / radix) {
+      return false;
+    }
+    value = value * radix + d;
   }
   *out = value;
   return true;

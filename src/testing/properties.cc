@@ -450,6 +450,14 @@ PropertyCheck CheckQbeProperties(const Database& db,
     return out.str();
   };
 
+  // Same decision and same explanation (by its canonical string).
+  auto same_answer = [](const QbeResult& a, const QbeResult& b) {
+    return a.exists == b.exists &&
+           a.explanation.has_value() == b.explanation.has_value() &&
+           (!a.explanation.has_value() ||
+            a.explanation->ToString() == b.explanation->ToString());
+  };
+
   // SolveCqQbe: 1/2/8-thread determinism of decision and explanation.
   QbeResult results[3];
   const std::size_t thread_counts[3] = {1, 2, 8};
@@ -457,12 +465,7 @@ PropertyCheck CheckQbeProperties(const Database& db,
     results[i] = SolveCqQbe(instance, {.num_threads = thread_counts[i]});
   }
   for (int i = 1; i < 3; ++i) {
-    if (results[i].exists != results[0].exists ||
-        results[i].explanation.has_value() !=
-            results[0].explanation.has_value() ||
-        (results[i].explanation.has_value() &&
-         results[i].explanation->ToString() !=
-             results[0].explanation->ToString())) {
+    if (!same_answer(results[i], results[0])) {
       return Violation("qbe/thread-determinism",
                        "SolveCqQbe differs between 1 and " +
                            std::to_string(thread_counts[i]) + " threads\n" +
@@ -515,30 +518,22 @@ PropertyCheck CheckQbeProperties(const Database& db,
     }
   }
 
-  // SolveCqmQbe: the serve path (cold cache, then warm) must reproduce the
-  // unserved sweep bit-for-bit.
-  QbeResult serial = SolveCqmQbe(instance, m);
-  serve::ServeOptions serve_options;
-  serve_options.num_shards = 2;
-  serve::EvalService service(serve_options);
-  QbeOptions with_service;
-  with_service.service = &service;
-  QbeResult served_cold = SolveCqmQbe(instance, m, 0, with_service);
-  QbeResult served_warm = SolveCqmQbe(instance, m, 0, with_service);
-  for (const auto& [label, served] :
-       {std::pair<const char*, const QbeResult*>{"cold", &served_cold},
-        std::pair<const char*, const QbeResult*>{"warm", &served_warm}}) {
-    if (served->exists != serial.exists ||
-        served->explanation.has_value() != serial.explanation.has_value() ||
-        (served->explanation.has_value() &&
-         served->explanation->ToString() !=
-             serial.explanation->ToString())) {
-      return Violation("qbe/serve-vs-serial",
-                       std::string("SolveCqmQbe via EvalService (") + label +
-                           " cache) differs from the unserved sweep\n" +
+  // SolveCqmQbe: 1/2/8-thread determinism of decision, explanation and the
+  // rejected-prefix length.
+  QbeResult cqm[3];
+  for (int i = 0; i < 3; ++i) {
+    cqm[i] = SolveCqmQbe(instance, m, 0, {.num_threads = thread_counts[i]});
+  }
+  for (int i = 1; i < 3; ++i) {
+    if (!same_answer(cqm[i], cqm[0]) ||
+        cqm[i].candidates_screened != cqm[0].candidates_screened) {
+      return Violation("qbe/cqm-threads",
+                       "SolveCqmQbe differs between 1 and " +
+                           std::to_string(thread_counts[i]) + " threads\n" +
                            describe());
     }
   }
+  const QbeResult& serial = cqm[0];
 
   if (serial.exists) {
     // The CQ[m] explanation screens under the *reference* evaluator...

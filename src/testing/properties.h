@@ -89,10 +89,10 @@ PropertyCheck CheckSepThreadDeterminism(const TrainingDatabase& training);
 ///     negative (kernel evaluator), minimized or not;
 ///   - when none exists, dropping S⁻ makes one exist (the canonical
 ///     product query);
-///   - SolveCqmQbe through a serve::EvalService (cold and warm cache)
-///     returns the identical decision and explanation as the unserved
-///     sweep, the explanation screens correctly under the *reference*
-///     evaluator, and CQ[m]-explainability implies CQ-explainability.
+///   - SolveCqmQbe returns the identical decision, explanation and
+///     candidates_screened at 1, 2, and 8 threads, the explanation screens
+///     correctly under the *reference* evaluator, and CQ[m]-explainability
+///     implies CQ-explainability.
 PropertyCheck CheckQbeProperties(const Database& db,
                                  const std::vector<Value>& positives,
                                  const std::vector<Value>& negatives,
@@ -179,8 +179,8 @@ PropertyCheck CheckServeAsyncProperties(const Database& db,
 /// Delta-maintenance laws (DESIGN.md §14) on an entity database: a seeded
 /// random trace of `num_ops` insert / remove / forced-no-op / relabel /
 /// pure-recheck steps runs against a live stack — a mutating Database, a
-/// warm EvalService maintained by IncrementalMaintainer (patch or drop
-/// policy by seed), and an IncrementalSeparability warm-starting both
+/// warm EvalService maintained by IncrementalMaintainer (which patches
+/// warm entries in place), and an IncrementalSeparability warm-starting both
 /// separability decisions. After EVERY step the live state is cross-checked
 /// against a permanently-naive oracle rebuilt from scratch (fresh Database
 /// replaying the live fact set, cold single-shard cache-free EvalService,

@@ -230,7 +230,7 @@ TEST(CancellationTest, ServeInterruptedRequestNeverPoisonsTheCache) {
 
   // Warm completion through the SAME service: whatever the aborted request
   // left behind, the answers must be bit-identical to the serial oracle.
-  std::vector<FeatureVector> served = statistic.Matrix(*db, &service);
+  std::vector<FeatureVector> served = service.Matrix(features, *db);
   EXPECT_EQ(served, truth);
   serve::ServeStats after = service.stats();
   EXPECT_GE(after.evaluation_retries, 1u)

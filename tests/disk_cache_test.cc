@@ -18,6 +18,7 @@
 
 #include "core/statistic.h"
 #include "serve/eval_service.h"
+#include "serve/wire_format.h"
 #include "test_util.h"
 #include "util/fs_env.h"
 
@@ -130,6 +131,34 @@ TEST(DiskCacheEntryTest, EverySingleByteFlipBreaksTheChecksum) {
   }
 }
 
+TEST(DiskCacheEntryTest, OverlongDigestIsRejected) {
+  // 17 hex digits overflow 64 bits; wrapping would read the line as
+  // 0x2000000000000000 and file the entry under the wrong key.
+  const std::string bytes = serve::wire::WithChecksum(
+      "featsep-result-cache 1\n"
+      "digest 12000000000000000\n"
+      "feature 1\nf\n"
+      "entities 0\n");
+  EXPECT_FALSE(ParseDiskCacheEntry(bytes).ok());
+  // The same entry with the 16-digit digest it would have wrapped to parses.
+  EXPECT_TRUE(
+      ParseDiskCacheEntry(SerializeDiskCacheEntry(0x2000000000000000ULL, "f",
+                                                  {}))
+          .ok());
+}
+
+TEST(WireFormatTest, ParseU64RejectsOverflowAtTheBoundary) {
+  std::uint64_t value = 0;
+  EXPECT_TRUE(serve::wire::ParseU64("18446744073709551615", &value));
+  EXPECT_EQ(value, 18446744073709551615ULL);
+  EXPECT_FALSE(serve::wire::ParseU64("18446744073709551616", &value));
+  EXPECT_FALSE(serve::wire::ParseU64("30000000000000000000", &value));
+  EXPECT_TRUE(serve::wire::ParseU64("ffffffffffffffff", &value, 16));
+  EXPECT_EQ(value, 0xffffffffffffffffULL);
+  EXPECT_FALSE(serve::wire::ParseU64("10000000000000000", &value, 16));
+  EXPECT_FALSE(serve::wire::ParseU64("12000000000000000", &value, 16));
+}
+
 TEST(DiskResultCacheTest, StoreThenLoad) {
   TempDir dir("featsep-dc-roundtrip");
   DiskResultCache cache(dir.str());
@@ -240,90 +269,6 @@ TEST(DiskResultCacheTest, RemoveDeletesTheEntry) {
   EXPECT_EQ(cache.stats().removed, 1u);
 }
 
-TEST(DiskResultCacheTest, SweepUnderLimitIsANoOp) {
-  TempDir dir("featsep-dc-sweep-under");
-  DiskResultCache cache(dir.str());
-  ASSERT_TRUE(cache.Store(1, "f", {"a"}));
-  ASSERT_TRUE(cache.Store(2, "g", {"b"}));
-  serve::DiskSweepResult result = cache.Sweep(1 << 20);
-  EXPECT_EQ(result.entries_removed, 0u);
-  EXPECT_EQ(result.bytes_before, result.bytes_after);
-  EXPECT_EQ(cache.stats().swept, 0u);
-  EXPECT_TRUE(cache.Load(1, "f").has_value());
-  EXPECT_TRUE(cache.Load(2, "g").has_value());
-}
-
-TEST(DiskResultCacheTest, SweepEvictsOldestMtimeFirst) {
-  TempDir dir("featsep-dc-sweep-order");
-  DiskResultCache cache(dir.str());
-  ASSERT_TRUE(cache.Store(1, "old", {"a"}));
-  ASSERT_TRUE(cache.Store(2, "mid", {"b"}));
-  ASSERT_TRUE(cache.Store(3, "new", {"c"}));
-  // Pin the age order explicitly — filesystem timestamps are too coarse to
-  // trust the three Stores above to land on distinct ticks.
-  const auto now = fs::file_time_type::clock::now();
-  for (const auto& it : fs::directory_iterator(dir.path())) {
-    if (it.path().extension() != ".fse") continue;
-    Result<DiskCacheEntry> entry = ParseDiskCacheEntry(ReadFile(it.path()));
-    ASSERT_TRUE(entry.ok());
-    fs::last_write_time(
-        it.path(),
-        now - std::chrono::hours(
-                  entry.value().content_digest == 1
-                      ? 3
-                      : entry.value().content_digest == 2 ? 2 : 1));
-  }
-  // One entry's worth of budget: the two oldest go, the newest survives.
-  std::uintmax_t one_entry = 0;
-  for (const auto& it : fs::directory_iterator(dir.path())) {
-    if (it.path().extension() == ".fse") {
-      one_entry = std::max(one_entry, fs::file_size(it.path()));
-    }
-  }
-  serve::DiskSweepResult result = cache.Sweep(one_entry);
-  EXPECT_EQ(result.entries_removed, 2u);
-  EXPECT_LE(result.bytes_after, one_entry);
-  EXPECT_EQ(cache.stats().swept, 2u);
-  EXPECT_FALSE(cache.Load(1, "old").has_value());
-  EXPECT_FALSE(cache.Load(2, "mid").has_value());
-  EXPECT_TRUE(cache.Load(3, "new").has_value());
-}
-
-TEST(DiskResultCacheTest, SweepCountsCorruptEntriesAndDeletesThem) {
-  // Sweep is size + mtime only — it never parses. A corrupt .fse file is
-  // just bytes toward the limit, counted and deleted like any entry.
-  TempDir dir("featsep-dc-sweep-corrupt");
-  DiskResultCache cache(dir.str());
-  ASSERT_TRUE(cache.Store(1, "f", {"a"}));
-  WriteFile(dir.path() / "deadbeefdeadbeef.fse", "not a valid entry");
-  serve::DiskSweepResult result = cache.Sweep(0);
-  EXPECT_EQ(result.entries_removed, 2u);
-  EXPECT_EQ(result.bytes_after, 0u);
-  std::size_t remaining = 0;
-  for (const auto& it : fs::directory_iterator(dir.path())) {
-    if (it.path().extension() == ".fse") ++remaining;
-  }
-  EXPECT_EQ(remaining, 0u);
-}
-
-TEST(EvalServiceDiskTest, OpportunisticSweepHonorsTheByteLimit) {
-  TempDir dir("featsep-svc-sweep");
-  ServeOptions options;
-  options.cache_dir = dir.str();
-  options.disk_cache_max_bytes = 1;  // Tighter than any single entry.
-  Database db = MakeWorld();
-  Statistic statistic(OutInFeatures());
-  EvalService service(options);
-  std::vector<FeatureVector> matrix = service.Matrix(statistic.features(), db);
-  EXPECT_EQ(matrix, statistic.Matrix(db));  // Answers unaffected by GC.
-  std::uintmax_t bytes = 0;
-  for (const auto& it : fs::directory_iterator(dir.path())) {
-    if (it.path().extension() == ".fse") bytes += fs::file_size(it.path());
-  }
-  EXPECT_LE(bytes, options.disk_cache_max_bytes)
-      << "write-behind left the disk tier over its GC limit";
-}
-
 // ---------------------------------------------------------------------------
 // Fault injection: retries, I/O-error reporting, tmp GC, crash-mid-publish.
 
@@ -415,22 +360,26 @@ TEST(DiskResultCacheTest, LoadIoErrorIsDistinctFromMiss) {
   EXPECT_EQ(cache.stats().load_retries, 2u);
 }
 
-TEST(DiskResultCacheTest, SweepReportsPartialScanErrors) {
-  TempDir dir("featsep-dc-sweep-partial");
+TEST(DiskResultCacheTest, TmpGcReportsPartialScanErrors) {
+  TempDir dir("featsep-dc-tmpgc-partial");
   FaultFsOptions fault;
   fault.partial_list_chance = 1.0;
   FaultFsEnv env(fault);
   DiskCacheOptions options;
   options.env = &env;
+  options.tmp_gc_on_open = false;
   DiskResultCache cache(dir.str(), options);
-  for (std::uint64_t digest = 1; digest <= 4; ++digest) {
-    ASSERT_TRUE(cache.Store(digest, "f", {"a"}));
+  for (int i = 0; i < 4; ++i) {
+    WriteFile(dir.path() / "tmp" / ("orphan." + std::to_string(i) + ".tmp"),
+              "partial bytes");
   }
   env.FailNext(FsOp::kList, 1);
-  serve::DiskSweepResult result = cache.Sweep(1 << 20);
-  EXPECT_GT(result.scan_errors, 0u)
+  const std::uint64_t collected =
+      cache.CollectStaleTmp(std::chrono::milliseconds(0));
+  EXPECT_GT(cache.stats().scan_errors, 0u)
       << "a truncated scan must not report itself complete";
-  EXPECT_EQ(cache.stats().scan_errors, result.scan_errors);
+  // Every orphan is either collected or counted as missed by the scan.
+  EXPECT_EQ(collected + cache.stats().scan_errors, 4u);
 }
 
 TEST(DiskResultCacheTest, CrashMidPublishIsInvisibleAfterRecovery) {

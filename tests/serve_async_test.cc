@@ -1,6 +1,6 @@
-// Async serve front-end: submit/poll happy path, future completion order
-// independence, deadline expiry (budget outcome surfaced, cache never
-// poisoned), deterministic admission-control rejection under a full queue,
+// Async serve front-end: submit/poll happy path, wait-order independence,
+// deadline expiry (budget outcome surfaced, cache never poisoned),
+// deterministic admission-control rejection under a full queue,
 // priority inversion (interactive admitted and dispatched ahead of a
 // saturated batch class), and clean shutdown with requests still in flight.
 
@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <cstddef>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,11 +97,10 @@ TEST(ServeAsyncTest, FutureCompletionOrderIndependence) {
   std::vector<RequestHandle> handles;
   for (int i = 0; i < 6; ++i) handles.push_back(service.Submit(features, db));
 
-  // Wait in reverse submit order through the future-flavored API: each
-  // future completes with the right answers no matter the waiting order.
+  // Wait in reverse submit order: each handle completes with the right
+  // answers no matter the waiting order.
   for (std::size_t i = handles.size(); i-- > 0;) {
-    std::shared_future<RequestResult> future = handles[i].future();
-    const RequestResult& result = future.get();
+    const RequestResult& result = handles[i].Wait();
     EXPECT_EQ(result.state, RequestState::kCompleted);
     ExpectAnswersMatchSerial(result, features, *db);
   }
@@ -272,7 +270,7 @@ TEST(ServeAsyncTest, CleanShutdownWithRequestsInFlight) {
     service.ResumeDispatch();
     // Destruct with work queued and likely in flight: queued requests
     // terminalize as kCancelled without running, a running one unwinds
-    // cooperatively, and every future is satisfied before the destructor
+    // cooperatively, and every result is ready before the destructor
     // returns — asan/tsan verify no leak and no race.
   }
   for (const RequestHandle& handle : handles) {

@@ -14,7 +14,6 @@
 #include "cq/evaluation.h"
 #include "cq/homomorphism.h"
 #include "io/cq_parser.h"
-#include "qbe/qbe.h"
 #include "relational/training_database.h"
 #include "serve/incremental.h"
 #include "test_util.h"
@@ -40,7 +39,7 @@ TEST(EvalServiceTest, AnswerMatchesKernelEvaluator) {
   std::vector<ConjunctiveQuery> features = OutInFeatures();
   EvalService service;
   for (const ConjunctiveQuery& feature : features) {
-    auto answer = service.Answer(feature, db);
+    auto answer = service.TryResolve({feature}, db, nullptr)[0];
     ASSERT_NE(answer, nullptr);
     CqEvaluator evaluator(feature);
     for (Value e : db.Entities()) {
@@ -61,8 +60,6 @@ TEST(EvalServiceTest, MatrixBitIdenticalAcrossShardCounts) {
     EvalService service(options);
     EXPECT_EQ(service.Matrix(statistic.features(), db), serial)
         << "shards = " << shards;
-    EXPECT_EQ(statistic.Matrix(db, &service), serial)
-        << "shards = " << shards;
   }
 }
 
@@ -73,7 +70,6 @@ TEST(EvalServiceTest, VectorMatchesSerialStatistic) {
   for (Value e : db.Entities()) {
     EXPECT_EQ(service.Vector(statistic.features(), db, e),
               statistic.Vector(db, e));
-    EXPECT_EQ(statistic.Vector(db, e, &service), statistic.Vector(db, e));
   }
 }
 
@@ -154,23 +150,6 @@ TEST(EvalServiceTest, ClearCacheForcesReevaluation) {
   EXPECT_EQ(service.stats().features_evaluated, 2 * features.size());
 }
 
-TEST(EvalServiceTest, SeparatorModelAppliesThroughService) {
-  auto db = std::make_shared<Database>(MakeWorld());
-  SeparatorModel model{Statistic({OutInFeatures()[0]}),
-                       LinearClassifier(Rational(1), {Rational(1)})};
-  EvalService service;
-  Labeling serial = model.Apply(*db);
-  Labeling served = model.Apply(*db, &service);
-  for (Value e : db->Entities()) {
-    EXPECT_EQ(served.Get(e), serial.Get(e));
-  }
-
-  TrainingDatabase training(db);
-  for (Value e : db->Entities()) training.SetLabel(e, serial.Get(e));
-  EXPECT_EQ(MakeTrainingCollection(model.statistic, training, &service),
-            MakeTrainingCollection(model.statistic, training));
-}
-
 TEST(EvalServiceTest, DecideCqmSepMatchesSerialPath) {
   auto db = std::make_shared<Database>(GraphSchema());
   Value pos = AddEntity(*db, "pos");
@@ -197,31 +176,6 @@ TEST(EvalServiceTest, DecideCqmSepMatchesSerialPath) {
     }
   }
   EXPECT_GT(service.stats().cache_hits, 0u);  // Round two reused round one.
-}
-
-TEST(EvalServiceTest, SolveCqmQbeMatchesSerialPath) {
-  Database db(GraphSchema());
-  Value pos = AddEntity(db, "pos");
-  Value neg = AddEntity(db, "neg");
-  AddEdge(db, "pos", "t");
-
-  QbeInstance instance;
-  instance.db = &db;
-  instance.positives = {pos};
-  instance.negatives = {neg};
-
-  QbeResult serial = SolveCqmQbe(instance, 1);
-  ASSERT_TRUE(serial.exists);
-  EvalService service;
-  QbeOptions options;
-  options.service = &service;
-  for (int round = 0; round < 2; ++round) {  // Cold cache, then warm.
-    QbeResult served = SolveCqmQbe(instance, 1, 0, options);
-    EXPECT_EQ(served.exists, serial.exists);
-    ASSERT_TRUE(served.explanation.has_value());
-    EXPECT_EQ(served.explanation->ToString(), serial.explanation->ToString());
-  }
-  EXPECT_GT(service.stats().cache_hits, 0u);
 }
 
 TEST(EvalServiceCoherenceTest, StaleEntriesAreNeverServedAfterMutation) {
