@@ -36,12 +36,8 @@ namespace {
 /// preparation is already on the trail.
 class HomSearch {
  public:
-  HomSearch(const Database& from, const Database& to, bool forward_checking,
-            std::vector<std::pair<Value, Value>> prefer)
-      : from_(from),
-        to_(to),
-        forward_checking_(forward_checking),
-        prefer_pairs_(std::move(prefer)) {}
+  HomSearch(const Database& from, const Database& to, bool forward_checking)
+      : from_(from), to_(to), forward_checking_(forward_checking) {}
 
   /// The search for a homomorphism extending `seed`, charged one step per
   /// node to `budget` (nullptr = unbounded).
@@ -69,10 +65,9 @@ class HomSearch {
   struct Frame {
     VarIndex var;
     SvoBitset candidates;
-    std::size_t cursor = 0;       // Next candidate bit to scan.
-    DomIndex pref = kNoDomIndex;  // Preferred image, tried before the scan.
-    std::size_t mark = 0;         // Trail mark taken before the last Assign.
-    bool assigned = false;        // An Assign from this frame is in effect.
+    std::size_t cursor = 0;  // Next candidate bit to scan.
+    std::size_t mark = 0;    // Trail mark taken before the last Assign.
+    bool assigned = false;   // An Assign from this frame is in effect.
   };
 
   /// The seed-independent setup of the first Run. False when some variable
@@ -135,8 +130,6 @@ class HomSearch {
   const Database& from_;
   const Database& to_;
   const bool forward_checking_;
-  // The value-ordering hint, resolved into prefer_ by Prepare().
-  const std::vector<std::pair<Value, Value>> prefer_pairs_;
   ExecutionBudget* budget_ = nullptr;  // The current Run's budget.
 
   std::vector<Value> vars_;          // var index -> dom(from) element.
@@ -179,8 +172,6 @@ class HomSearch {
   std::unordered_map<std::uint64_t, SvoBitset> fact_bits_;
   // (rel, pos-pair) -> equal-argument fact-index bitset.
   std::unordered_map<std::uint64_t, SvoBitset> eq_bits_;
-
-  std::vector<DomIndex> prefer_;     // Per-var preferred image, or kNoDomIndex.
 
   // Trail of saved (domain, popcount) snapshots; at most one per variable
   // per epoch (= Assign call), so undo cost tracks actual pruning.
@@ -291,14 +282,6 @@ bool HomSearch::Prepare() {
   if (!ApplyUnaryConstraints()) {
     FEATSEP_COVERAGE(kHomUnaryWipeout);
     return false;
-  }
-
-  prefer_.assign(vars_.size(), kNoDomIndex);
-  for (const auto& [source, image] : prefer_pairs_) {
-    if (source >= var_of_.size() || var_of_[source] == kNoVar) continue;
-    if (image >= to_index_->size()) continue;
-    DomIndex index = (*to_index_)[image];
-    if (index != kNoDomIndex) prefer_[var_of_[source]] = index;
   }
   return true;
 }
@@ -485,21 +468,10 @@ HomSearch::Frame HomSearch::MakeFrame(VarIndex var) {
   Frame frame;
   frame.var = var;
   frame.candidates = domains_[var];
-  DomIndex pref = prefer_[var];
-  if (pref != kNoDomIndex && frame.candidates.test(pref)) {
-    frame.candidates.reset(pref);  // Consumed through the pref slot.
-    frame.pref = pref;
-  }
   return frame;
 }
 
 HomSearch::DomIndex HomSearch::NextCandidate(Frame& frame) {
-  if (frame.pref != kNoDomIndex) {
-    FEATSEP_COVERAGE(kHomPreferHit);
-    DomIndex image = frame.pref;
-    frame.pref = kNoDomIndex;
-    return image;
-  }
   std::size_t bit = frame.candidates.find_next(frame.cursor);
   if (bit == SvoBitset::kNoBit) return kNoDomIndex;
   frame.cursor = bit + 1;
@@ -735,13 +707,12 @@ void HomSearch::UndoTo(std::size_t mark) {
 HomResult FindHomomorphism(const Database& from, const Database& to,
                            const std::vector<std::pair<Value, Value>>& seed,
                            const HomOptions& options) {
-  return HomSearch(from, to, options.forward_checking, options.prefer)
-      .Run(seed, options.budget);
+  return HomSearch(from, to, options.forward_checking).Run(seed, options.budget);
 }
 
 struct PreparedHomSearch::State {
   State(const Database& from, const Database& to)
-      : search(from, to, /*forward_checking=*/true, /*prefer=*/{}) {}
+      : search(from, to, /*forward_checking=*/true) {}
   HomSearch search;
 };
 
@@ -786,17 +757,7 @@ std::optional<bool> TryHomEquivalent(const Database& from,
   HomResult fwd = FindHomomorphism(from, to, forward, {.budget = budget});
   if (fwd.status == HomStatus::kExhausted) return std::nullopt;
   if (fwd.status != HomStatus::kFound) return false;
-  // Replay the forward witness as the backward search's value ordering: if
-  // h maps v to w, try w -> v first. When h is close to invertible this
-  // lets the backward search walk straight to a witness.
-  std::vector<std::pair<Value, Value>> prefer;
-  for (Value v : from.domain()) {
-    Value w = fwd.mapping[v];
-    if (w != kNoValue) prefer.emplace_back(w, v);
-  }
-  HomResult bwd = HomSearch(to, from, /*forward_checking=*/true,
-                            std::move(prefer))
-                      .Run(backward, budget);
+  HomResult bwd = FindHomomorphism(to, from, backward, {.budget = budget});
   if (bwd.status == HomStatus::kExhausted) return std::nullopt;
   return bwd.status == HomStatus::kFound;
 }

@@ -26,12 +26,6 @@ struct HomOptions {
   /// compatible target fact — an ablation knob for bench_ablation; leave on
   /// for real use.
   bool forward_checking = true;
-  /// Optional value-ordering hint: when the search branches on a pair's
-  /// source value, the paired image is tried first if still in the domain
-  /// (later pairs for the same source win). Affects only exploration order,
-  /// never the decision. HomEquivalent uses this to replay the forward
-  /// witness mapping as the candidate ordering of the backward search.
-  std::vector<std::pair<Value, Value>> prefer = {};
 };
 
 /// Outcome of a homomorphism search.

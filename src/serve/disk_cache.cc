@@ -182,13 +182,6 @@ DiskLoadResult DiskResultCache::LoadEntry(std::uint64_t content_digest,
   return result;
 }
 
-std::optional<std::vector<std::string>> DiskResultCache::Load(
-    std::uint64_t content_digest, const std::string& feature) {
-  DiskLoadResult result = LoadEntry(content_digest, feature);
-  if (!result.hit()) return std::nullopt;
-  return std::move(result.selected);
-}
-
 bool DiskResultCache::Store(std::uint64_t content_digest,
                             const std::string& feature,
                             std::vector<std::string> selected) {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -124,7 +123,7 @@ struct DiskCacheOptions {
 /// Layout: one file per entry, `<dir>/<hex16(StableCacheKeyDigest)>.fse`,
 /// written atomically (serialize → unique temp file in `<dir>/tmp/` →
 /// rename), so readers in any process only ever observe complete entries.
-/// Entries are versioned and checksummed; Load never trusts a corrupt,
+/// Entries are versioned and checksummed; LoadEntry never trusts a corrupt,
 /// truncated, or version-mismatched file — it degrades to a miss.
 /// Concurrent writers of the same key are harmless: answers are
 /// deterministic, so both render bit-identical bytes and the second rename
@@ -149,7 +148,7 @@ class DiskResultCache {
 
   const std::string& dir() const { return dir_; }
 
-  /// The entry file path Load/Store use for this key.
+  /// The entry file path LoadEntry/Store use for this key.
   std::string EntryPath(std::uint64_t content_digest,
                         std::string_view feature) const;
 
@@ -157,12 +156,6 @@ class DiskResultCache {
   /// names are sorted ascending.
   DiskLoadResult LoadEntry(std::uint64_t content_digest,
                            const std::string& feature);
-
-  /// Reads the entry for the key, or nullopt on miss / corrupt / version
-  /// mismatch / key collision / I/O fault. Returned names are sorted
-  /// ascending. (LoadEntry reports which of those it was.)
-  std::optional<std::vector<std::string>> Load(std::uint64_t content_digest,
-                                               const std::string& feature);
 
   /// Atomically persists the entry; returns false (and counts a
   /// write_failure) if the filesystem refuses after retries. Never called

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -12,6 +13,8 @@
 #include "io/cq_parser.h"
 #include "io/reader.h"
 #include "io/writer.h"
+#include "testing/coverage.h"
+#include "testing/faults.h"
 #include "util/hash.h"
 
 namespace featsep {
@@ -133,9 +136,10 @@ std::string SerializeFuzzInstance(const FuzzInstance& instance) {
   if (scalars & kLineM) out << "m " << instance.m << "\n";
   if (scalars & kLineEll) out << "ell " << instance.ell << "\n";
   if (scalars & kLineFault) {
-    out << "fault " << instance.fault_site << " "
-        << static_cast<unsigned>(instance.fault_kind) << " "
-        << instance.fault_visit << "\n";
+    out << "fault "
+        << CoverageSiteName(static_cast<CoverageSite>(instance.fault_site))
+        << " " << FaultKindName(static_cast<FaultKind>(instance.fault_kind))
+        << " " << instance.fault_visit << "\n";
   }
   if (instance.db_a.has_value()) WriteDbSection("db_a", *instance.db_a, out);
   if (instance.db_b.has_value()) WriteDbSection("db_b", *instance.db_b, out);
@@ -318,14 +322,20 @@ Result<FuzzInstance> DeserializeFuzzInstance(std::string_view text) {
       if (tokens.size() != 3) {
         return parser.At("fault wants '<site> <kind> <visit>'");
       }
+      std::optional<CoverageSite> site = CoverageSiteFromName(tokens[0]);
+      if (!site.has_value()) {
+        return parser.At("unknown fault site '" + tokens[0] + "'");
+      }
+      std::optional<FaultKind> kind = FaultKindFromName(tokens[1]);
+      if (!kind.has_value()) {
+        return parser.At("unknown fault kind '" + tokens[1] + "'");
+      }
+      instance.fault_site = static_cast<std::uint16_t>(*site);
+      instance.fault_kind = static_cast<std::uint8_t>(*kind);
       try {
-        instance.fault_site =
-            static_cast<std::uint16_t>(std::stoul(tokens[0]));
-        instance.fault_kind =
-            static_cast<std::uint8_t>(std::stoul(tokens[1]));
         instance.fault_visit = std::stoull(tokens[2]);
       } catch (const std::exception&) {
-        return parser.At("bad fault spec '" + line + "'");
+        return parser.At("bad fault visit '" + tokens[2] + "'");
       }
     } else if (starts("k ") || starts("m ") || starts("ell ")) {
       std::vector<std::string> tokens = Tokens(line);

@@ -26,7 +26,10 @@ namespace testing {
 ///   ...
 ///   [end]
 ///
-/// plus `query`/`query2` rule lines (parsed against db_a's schema),
+/// plus `query`/`query2` rule lines (parsed against db_a's schema), a
+/// `fault <site> <kind> <visit>` line naming the site and kind as
+/// CoverageSiteName / FaultKindName print them (never by enum number, so
+/// adding or deleting a site cannot retarget a saved entry),
 /// `seed`/`frozen`/`positives`/`negatives` value-name lists, `label` lines,
 /// `example ±1 ... : ±1` feature rows, and `lp_row`/`lp_obj` integer rows.
 /// Values are referenced by *name* (ids are re-interned on load); a seed id

@@ -23,7 +23,6 @@ const char* CoverageSiteName(CoverageSite site) {
     case CoverageSite::kHomPrune: return "hom/prune";
     case CoverageSite::kHomWipeout: return "hom/wipeout";
     case CoverageSite::kHomUnaryWipeout: return "hom/unary-wipeout";
-    case CoverageSite::kHomPreferHit: return "hom/prefer-hit";
     case CoverageSite::kHomSeedReject: return "hom/seed-reject";
     case CoverageSite::kHomFound: return "hom/found";
     case CoverageSite::kHomNone: return "hom/none";
@@ -53,6 +52,14 @@ const char* CoverageSiteName(CoverageSite site) {
     case CoverageSite::kNumSites: break;
   }
   return "unknown";
+}
+
+std::optional<CoverageSite> CoverageSiteFromName(std::string_view name) {
+  for (std::size_t i = 0; i < kNumCoverageSites; ++i) {
+    CoverageSite site = static_cast<CoverageSite>(i);
+    if (name == CoverageSiteName(site)) return site;
+  }
+  return std::nullopt;
 }
 
 void SetCoverageEnabled(bool enabled) {

@@ -5,7 +5,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace featsep {
@@ -45,7 +47,6 @@ enum class CoverageSite : std::uint16_t {
   kHomPrune,           ///< PruneDomain strictly shrank a domain.
   kHomWipeout,         ///< PruneDomain emptied a domain.
   kHomUnaryWipeout,    ///< A variable died during unary-constraint setup.
-  kHomPreferHit,       ///< A prefer hint was consumed at a frame.
   kHomSeedReject,      ///< A seed pair was unsatisfiable up front.
   kHomFound,           ///< Search ended kFound.
   kHomNone,            ///< Search ended kNone.
@@ -78,6 +79,9 @@ enum class CoverageSite : std::uint16_t {
 
 /// Short stable name of a site ("hom/node", "simplex/pivot", ...).
 const char* CoverageSiteName(CoverageSite site);
+
+/// The site named `name` (the inverse of CoverageSiteName), or nullopt.
+std::optional<CoverageSite> CoverageSiteFromName(std::string_view name);
 
 namespace coverage_internal {
 

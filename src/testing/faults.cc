@@ -33,6 +33,14 @@ const char* FaultKindName(FaultKind kind) {
   return "unknown";
 }
 
+std::optional<FaultKind> FaultKindFromName(std::string_view name) {
+  for (FaultKind kind :
+       {FaultKind::kCancel, FaultKind::kTimeout, FaultKind::kBadAlloc}) {
+    if (name == FaultKindName(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
 void ArmFault(const FaultSpec& spec, ExecutionBudget* budget) {
   FEATSEP_CHECK(spec.site < CoverageSite::kNumSites);
   FEATSEP_CHECK_GE(spec.trigger_visit, 1u) << "visits are 1-based";

@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "testing/coverage.h"
 #include "util/budget.h"
@@ -33,6 +35,9 @@ enum class FaultKind : std::uint8_t {
 };
 
 const char* FaultKindName(FaultKind kind);
+
+/// The kind named `name` (the inverse of FaultKindName), or nullopt.
+std::optional<FaultKind> FaultKindFromName(std::string_view name);
 
 /// Where and when to fire: the `trigger_visit`-th (1-based) execution of a
 /// FEATSEP_FAULT_POINT(site) probe.

@@ -37,7 +37,7 @@ enum class FuzzConfig {
   kGhw,          ///< GHW witness/monotonicity laws.
   kSep,          ///< DecideCqSep determinism + Theorem 3.2 oracle.
   kQbe,          ///< QBE solver laws (thread determinism, screening,
-                 ///< serve-vs-serial SolveCqmQbe agreement).
+                 ///< SolveCqmQbe agreement across thread counts).
   kCoverGame,    ///< Existential k-cover game metamorphic laws.
   kDimension,    ///< Sep[ℓ] monotonicity + Theorem 3.2 agreement + witness.
   kLinsep,       ///< Simplex / separability LP vs Fourier–Motzkin reference.

@@ -113,23 +113,6 @@ PropertyCheck CheckHomAgainstReference(
                          DescribeHomPair(from, to));
   }
 
-  if (ref.has_value()) {
-    // Seeding the reference witness as a value-ordering hint must affect
-    // exploration order only, never the decision or witness validity.
-    HomOptions preferred;
-    for (Value v : from.domain()) {
-      preferred.prefer.emplace_back(v, (*ref)[v]);
-    }
-    HomResult hinted = FindHomomorphism(from, to, seed, preferred);
-    if (hinted.status != HomStatus::kFound ||
-        !RefIsHomomorphism(from, to, hinted.mapping)) {
-      return Violation("hom-vs-reference/prefer",
-                       "witness-seeded prefer changed the decision or "
-                       "produced an invalid witness\n" +
-                           DescribeHomPair(from, to));
-    }
-  }
-
   // The prepared search must decide exactly what a fresh FindHomomorphism
   // does, with the same node count: first on the empty seed, then, after
   // rewinding, on the instance's seed.
@@ -397,39 +380,39 @@ PropertyCheck CheckSepThreadDeterminism(const TrainingDatabase& training) {
   }
 
   // Theorem 3.2 oracle: separable iff no differently-labeled pair of
-  // entities is hom-equivalent as pointed databases.
+  // entities is hom-equivalent as pointed databases. Every pair test must
+  // agree with the reference in both orientations, and the serial sweep
+  // must report the reference's first conflict in positive-major order.
   const Database& db = training.database();
-  bool ref_separable = true;
+  std::optional<std::pair<Value, Value>> ref_conflict;
   for (Value p : training.PositiveExamples()) {
     for (Value n : training.NegativeExamples()) {
-      if (RefHomEquivalent(db, {p}, db, {n})) {
-        ref_separable = false;
-        break;
+      bool ref = RefHomEquivalent(db, {p}, db, {n});
+      if (TryHomEquivalent(db, {p}, db, {n}, nullptr) != ref ||
+          TryHomEquivalent(db, {n}, db, {p}, nullptr) != ref) {
+        std::ostringstream detail;
+        detail << "TryHomEquivalent on (" << db.value_name(p) << ", "
+               << db.value_name(n) << ") differs from the reference, which "
+               << "says " << ref << "\n"
+               << WriteTrainingDatabase(training);
+        return Violation("sep/pair-vs-reference", detail.str());
       }
+      if (ref && !ref_conflict.has_value()) ref_conflict.emplace(p, n);
     }
-    if (!ref_separable) break;
   }
-  if (results[0].separable != ref_separable) {
+  if (results[0].separable != !ref_conflict.has_value()) {
     std::ostringstream detail;
     detail << "DecideCqSep says " << results[0].separable
-           << ", reference pairwise sweep says " << ref_separable << "\n"
+           << ", reference pairwise sweep says " << !ref_conflict.has_value()
+           << "\n"
            << WriteTrainingDatabase(training);
     return Violation("sep-vs-reference", detail.str());
   }
-  if (!results[0].separable) {
-    if (!results[0].conflict.has_value()) {
-      return Violation("sep/conflict-missing",
-                       "inseparable without a conflict pair\n" +
-                           WriteTrainingDatabase(training));
-    }
-    auto [x, y] = *results[0].conflict;
-    if (training.label(x) == training.label(y) ||
-        !RefHomEquivalent(db, {x}, db, {y})) {
-      return Violation("sep/conflict-invalid",
-                       "reported conflict pair is not a differently-labeled "
-                       "hom-equivalent pair\n" +
-                           WriteTrainingDatabase(training));
-    }
+  if (results[0].conflict != ref_conflict) {
+    return Violation("sep/conflict-vs-reference",
+                     "reported conflict pair is not the reference's first "
+                     "conflict in positive-major order\n" +
+                         WriteTrainingDatabase(training));
   }
   return std::nullopt;
 }

@@ -35,7 +35,6 @@ using PropertyCheck = std::optional<PropertyViolation>;
 /// FindHomomorphism vs the reference oracle on (from, to, seed):
 ///   - decision agreement (with forward checking on and off),
 ///   - witness validity when the kernel reports kFound,
-///   - decision invariance under a witness-seeded `prefer` ordering,
 ///   - PreparedHomSearch agreement (status and node count) on the empty
 ///     seed and then, rewound, on `seed`.
 PropertyCheck CheckHomAgainstReference(
@@ -78,7 +77,9 @@ PropertyCheck CheckGhwProperties(const ConjunctiveQuery& query);
 
 /// DecideCqSep determinism and correctness: identical results (decision
 /// and conflict pair) at 1, 2, and 8 threads, and agreement with the
-/// reference pairwise hom-equivalence criterion of Theorem 3.2.
+/// reference pairwise hom-equivalence criterion of Theorem 3.2 — per pair
+/// (TryHomEquivalent in both orientations), on the decision, and on the
+/// conflict, which must be the first in positive-major order.
 PropertyCheck CheckSepThreadDeterminism(const TrainingDatabase& training);
 
 /// QBE laws on (db, S⁺, S⁻) with S⁺ nonempty entities of an entity

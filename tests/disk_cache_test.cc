@@ -162,14 +162,14 @@ TEST(WireFormatTest, ParseU64RejectsOverflowAtTheBoundary) {
 TEST(DiskResultCacheTest, StoreThenLoad) {
   TempDir dir("featsep-dc-roundtrip");
   DiskResultCache cache(dir.str());
-  EXPECT_FALSE(cache.Load(1, "f").has_value());
+  EXPECT_FALSE(cache.LoadEntry(1, "f").hit());
   EXPECT_TRUE(cache.Store(1, "f", {"b", "a"}));
-  auto names = cache.Load(1, "f");
-  ASSERT_TRUE(names.has_value());
-  EXPECT_EQ(*names, (std::vector<std::string>{"a", "b"}));
+  DiskLoadResult names = cache.LoadEntry(1, "f");
+  ASSERT_TRUE(names.hit());
+  EXPECT_EQ(names.selected, (std::vector<std::string>{"a", "b"}));
   // A different key misses without disturbing the stored entry.
-  EXPECT_FALSE(cache.Load(2, "f").has_value());
-  EXPECT_FALSE(cache.Load(1, "g").has_value());
+  EXPECT_FALSE(cache.LoadEntry(2, "f").hit());
+  EXPECT_FALSE(cache.LoadEntry(1, "g").hit());
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.stats().writes, 1u);
@@ -181,9 +181,9 @@ TEST(DiskResultCacheTest, EntriesSurviveProcessRestart) {
   TempDir dir("featsep-dc-restart");
   { DiskResultCache(dir.str()).Store(9, "f", {"e"}); }
   DiskResultCache reopened(dir.str());
-  auto names = reopened.Load(9, "f");
-  ASSERT_TRUE(names.has_value());
-  EXPECT_EQ(*names, std::vector<std::string>{"e"});
+  DiskLoadResult names = reopened.LoadEntry(9, "f");
+  ASSERT_TRUE(names.hit());
+  EXPECT_EQ(names.selected, std::vector<std::string>{"e"});
 }
 
 TEST(DiskResultCacheTest, CorruptEntryIsDroppedAndDeletedNeverTrusted) {
@@ -200,13 +200,13 @@ TEST(DiskResultCacheTest, CorruptEntryIsDroppedAndDeletedNeverTrusted) {
   std::string bytes = ReadFile(entry_path);
   WriteFile(entry_path, bytes.substr(0, bytes.size() / 2));
 
-  EXPECT_FALSE(cache.Load(5, "f").has_value());
+  EXPECT_FALSE(cache.LoadEntry(5, "f").hit());
   EXPECT_EQ(cache.stats().corrupt_dropped, 1u);
   EXPECT_FALSE(fs::exists(entry_path)) << "corrupt entry not deleted";
 
   // The slot is reusable: a fresh Store replaces it with a good entry.
   ASSERT_TRUE(cache.Store(5, "f", {"a"}));
-  EXPECT_TRUE(cache.Load(5, "f").has_value());
+  EXPECT_TRUE(cache.LoadEntry(5, "f").hit());
 }
 
 TEST(DiskResultCacheTest, VersionMismatchIsIgnoredButPreserved) {
@@ -222,7 +222,7 @@ TEST(DiskResultCacheTest, VersionMismatchIsIgnoredButPreserved) {
   // directory. It must be a miss — but never deleted.
   WriteFile(entry_path, "featsep-result-cache 999\nwho knows what follows\n");
 
-  EXPECT_FALSE(cache.Load(5, "f").has_value());
+  EXPECT_FALSE(cache.LoadEntry(5, "f").hit());
   EXPECT_EQ(cache.stats().version_dropped, 1u);
   EXPECT_EQ(cache.stats().corrupt_dropped, 0u);
   EXPECT_TRUE(fs::exists(entry_path)) << "foreign-version entry deleted";
@@ -250,7 +250,7 @@ TEST(DiskResultCacheTest, KeyCollisionKeepsResidentEntry) {
   ASSERT_FALSE(other_path.empty());
   WriteFile(other_path, bytes);  // (6, "g")'s file now holds (5, "f").
 
-  EXPECT_FALSE(other.Load(6, "g").has_value());
+  EXPECT_FALSE(other.LoadEntry(6, "g").hit());
   EXPECT_EQ(other.stats().key_mismatch_dropped, 1u);
 }
 
@@ -262,7 +262,7 @@ TEST(DiskResultCacheTest, RemoveDeletesTheEntry) {
   DiskResultCache cache(dir.str());
   ASSERT_TRUE(cache.Store(5, "f", {"a"}));
   EXPECT_TRUE(cache.Remove(5, "f"));
-  EXPECT_FALSE(cache.Load(5, "f").has_value());
+  EXPECT_FALSE(cache.LoadEntry(5, "f").hit());
   EXPECT_EQ(cache.stats().removed, 1u);
   // Removing what is not there reports false without counting.
   EXPECT_FALSE(cache.Remove(5, "f"));
@@ -307,9 +307,9 @@ TEST(DiskResultCacheTest, StoreRetriesTransientFaultThenSucceeds) {
   EXPECT_EQ(cache.stats().store_retries, 1u);
   EXPECT_EQ(cache.stats().write_failures, 0u);
   EXPECT_EQ(cache.stats().writes, 1u);
-  auto names = cache.Load(1, "f");
-  ASSERT_TRUE(names.has_value());
-  EXPECT_EQ(*names, std::vector<std::string>{"a"});
+  DiskLoadResult names = cache.LoadEntry(1, "f");
+  ASSERT_TRUE(names.hit());
+  EXPECT_EQ(names.selected, std::vector<std::string>{"a"});
 }
 
 TEST(DiskResultCacheTest, StoreExhaustedRetriesCountsWriteFailure) {
@@ -327,7 +327,7 @@ TEST(DiskResultCacheTest, StoreExhaustedRetriesCountsWriteFailure) {
   EXPECT_EQ(cache.stats().writes, 0u);
   // The failure is not sticky: once the fault clears, the key stores fine.
   EXPECT_TRUE(cache.Store(1, "f", {"a"}));
-  EXPECT_TRUE(cache.Load(1, "f").has_value());
+  EXPECT_TRUE(cache.LoadEntry(1, "f").hit());
 }
 
 TEST(DiskResultCacheTest, LoadIoErrorIsDistinctFromMiss) {

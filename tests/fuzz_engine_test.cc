@@ -14,6 +14,7 @@
 #include "linsep/simplex.h"
 #include "testing/corpus.h"
 #include "testing/coverage.h"
+#include "testing/faults.h"
 #include "testing/fuzz.h"
 #include "testing/instance.h"
 #include "testing/mutate.h"
@@ -31,8 +32,12 @@ using ::featsep::testing::CoverageEdge;
 using ::featsep::testing::CoverageEdgeName;
 using ::featsep::testing::CoverageEdges;
 using ::featsep::testing::CoverageMap;
+using ::featsep::testing::CoverageSite;
+using ::featsep::testing::CoverageSiteName;
 using ::featsep::testing::CoverageSnapshot;
 using ::featsep::testing::DeserializeFuzzInstance;
+using ::featsep::testing::FaultKind;
+using ::featsep::testing::FaultKindName;
 using ::featsep::testing::FuzzConfig;
 using ::featsep::testing::FuzzConfigName;
 using ::featsep::testing::FuzzInstance;
@@ -163,6 +168,51 @@ TEST(CorpusTest, RejectsMalformedText) {
   EXPECT_FALSE(
       DeserializeFuzzInstance("config hom\n[db_a]\nrelation R 1\n").ok())
       << "unterminated database section must not parse";
+}
+
+// Fault lines name their site and kind, so adding or deleting a
+// CoverageSite cannot silently retarget a saved entry at another site.
+TEST(CorpusTest, FaultLinesRoundTripByName) {
+  constexpr CoverageSite kFaultPointSites[] = {
+      CoverageSite::kHomNode, CoverageSite::kHomBacktrack,
+      CoverageSite::kGhwSubproblemSolved, CoverageSite::kCoverFixpointRound,
+      CoverageSite::kSimplexPivot};
+  FuzzInstance instance = GenerateFuzzInstance(FuzzConfig::kFaults, 0);
+  for (CoverageSite site : kFaultPointSites) {
+    for (FaultKind kind :
+         {FaultKind::kCancel, FaultKind::kTimeout, FaultKind::kBadAlloc}) {
+      instance.fault_site = static_cast<std::uint16_t>(site);
+      instance.fault_kind = static_cast<std::uint8_t>(kind);
+      instance.fault_visit = 7;
+      std::string text = SerializeFuzzInstance(instance);
+      std::string line = std::string("fault ") + CoverageSiteName(site) +
+                         " " + FaultKindName(kind) + " 7\n";
+      EXPECT_NE(text.find(line), std::string::npos) << text;
+      auto reloaded = DeserializeFuzzInstance(text);
+      ASSERT_TRUE(reloaded.ok()) << text << reloaded.error().message();
+      EXPECT_EQ(reloaded.value().fault_site, instance.fault_site);
+      EXPECT_EQ(reloaded.value().fault_kind, instance.fault_kind);
+      EXPECT_EQ(reloaded.value().fault_visit, 7u);
+    }
+  }
+
+  auto named =
+      DeserializeFuzzInstance("config faults\n"
+                              "fault covergame/fixpoint-round cancel 2\n");
+  ASSERT_TRUE(named.ok()) << named.error().message();
+  EXPECT_EQ(named.value().fault_site,
+            static_cast<std::uint16_t>(CoverageSite::kCoverFixpointRound));
+  EXPECT_EQ(named.value().fault_kind,
+            static_cast<std::uint8_t>(FaultKind::kCancel));
+  EXPECT_EQ(named.value().fault_visit, 2u);
+
+  // Enum numbers and unknown names are rejected, not reinterpreted.
+  EXPECT_FALSE(DeserializeFuzzInstance("config faults\nfault 24 0 2\n").ok());
+  EXPECT_FALSE(
+      DeserializeFuzzInstance("config faults\nfault hom/node 0 2\n").ok());
+  EXPECT_FALSE(
+      DeserializeFuzzInstance("config faults\nfault hom/nosuch cancel 2\n")
+          .ok());
 }
 
 TEST(CorpusTest, PersistsAndReloadsFromDisk) {

@@ -208,29 +208,6 @@ TEST(HomomorphismTest, SeedSourceOutsideDomainIsCopied) {
   EXPECT_EQ(dropped.mapping.size(), a.num_values());
 }
 
-TEST(HomomorphismTest, PreferHintSteersWitnessNotDecision) {
-  Database a(GraphSchema());
-  auto p = AddPath(a, "p", 1);  // p0 -> p1
-  Database b(GraphSchema());
-  auto q = AddPath(b, "q", 2);  // q0 -> q1 -> q2
-  HomResult plain = FindHomomorphism(a, b);
-  ASSERT_EQ(plain.status, HomStatus::kFound);
-  EXPECT_EQ(plain.mapping[p[0]], q[0]);  // First candidate in domain order.
-
-  HomOptions options;
-  options.prefer = {{p[0], q[1]}};
-  HomResult hinted = FindHomomorphism(a, b, {}, options);
-  ASSERT_EQ(hinted.status, HomStatus::kFound);
-  EXPECT_EQ(hinted.mapping[p[0]], q[1]);  // Hint tried first, and it works.
-
-  // An infeasible hint (q2 has no outgoing edge) costs one branch but
-  // cannot change the decision.
-  options.prefer = {{p[0], q[2]}};
-  HomResult infeasible = FindHomomorphism(a, b, {}, options);
-  ASSERT_EQ(infeasible.status, HomStatus::kFound);
-  EXPECT_EQ(infeasible.mapping[p[0]], q[0]);
-}
-
 namespace {
 std::shared_ptr<const Schema> TernarySchema() {
   Schema schema;
@@ -357,68 +334,6 @@ TEST(HomomorphismPropertyTest, WitnessSoundness) {
   }
 }
 
-
-// Regression: a stale `prefer` witness — pairs whose source or image ids do
-// not exist in the current pair of databases (e.g. replayed from a search
-// against a different database) — must be ignored, not crash or change the
-// decision. HomEquivalent replays forward witnesses this way, so junk here
-// would bias every pairwise equivalence sweep.
-TEST(HomomorphismTest, StalePreferHintIsIgnored) {
-  auto schema = GraphSchema();
-  Database a(schema);
-  std::vector<Value> p = AddPath(a, "p", 2);
-  Database b(schema);
-  std::vector<Value> q = AddPath(b, "q", 4);
-
-  HomOptions stale;
-  stale.prefer = {
-      // Source id far outside dom(a); image far outside dom(b).
-      {static_cast<Value>(a.num_values() + 100),
-       static_cast<Value>(b.num_values() + 100)},
-      // Valid source paired with a nonexistent image.
-      {p[0], static_cast<Value>(b.num_values() + 7)},
-      // Nonexistent source paired with a valid image.
-      {static_cast<Value>(a.num_values() + 1), q[0]},
-  };
-  HomResult with_stale = FindHomomorphism(a, b, {}, stale);
-  ASSERT_EQ(with_stale.status, HomStatus::kFound);
-  // The witness is still a real homomorphism.
-  for (const Fact& fact : a.facts()) {
-    if (fact.args.size() != 2) continue;
-    Fact image{fact.relation,
-               {with_stale.mapping[fact.args[0]],
-                with_stale.mapping[fact.args[1]]}};
-    EXPECT_TRUE(b.ContainsFact(image));
-  }
-
-  // Same stale hints on an instance with no homomorphism: decision holds.
-  Database c(schema);
-  AddPath(c, "s", 1);
-  HomOptions stale2;
-  stale2.prefer = {{static_cast<Value>(b.num_values() + 3),
-                    static_cast<Value>(c.num_values() + 3)}};
-  EXPECT_EQ(FindHomomorphism(b, c, {}, stale2).status, HomStatus::kNone);
-}
-
-TEST(HomomorphismTest, PreferValueOutsideTargetDomainIsIgnored) {
-  // The image exists as an interned value of `to` but carries no facts, so
-  // it is outside dom(to): the hint must be dropped, and the search must
-  // still find the real homomorphism.
-  auto schema = GraphSchema();
-  Database a(schema);
-  std::vector<Value> p = AddPath(a, "p", 1);
-  Database b(schema);
-  std::vector<Value> q = AddPath(b, "q", 1);
-  Value isolated = b.Intern("isolated");  // Interned, not in any fact.
-
-  HomOptions options;
-  options.prefer = {{p[0], isolated}, {p[1], isolated}};
-  HomResult result = FindHomomorphism(a, b, {}, options);
-  ASSERT_EQ(result.status, HomStatus::kFound);
-  EXPECT_EQ(result.mapping[p[0]], q[0]);
-  EXPECT_EQ(result.mapping[p[1]], q[1]);
-  EXPECT_NE(result.mapping[p[0]], isolated);
-}
 
 // Regression: sources with tens of thousands of variables (QBE products)
 // must not overflow the stack — the search is iterative.

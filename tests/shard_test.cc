@@ -31,6 +31,7 @@ using ::featsep::testing::MakeWorld;
 using ::featsep::testing::OutInFeatures;
 using serve::ClaimShard;
 using serve::CoordinateShardJob;
+using serve::DiskLoadResult;
 using serve::DiskResultCache;
 using serve::EvalService;
 using serve::EvaluateClaimedShard;
@@ -323,10 +324,9 @@ TEST(ShardProtocolTest, WorkerDirThreadsDrainAJobBitIdentical) {
     for (std::size_t e = 0; e < entities.size(); ++e) {
       if (serial[f][e]) selected.push_back(db.value_name(entities[e]));
     }
-    std::optional<std::vector<std::string>> cached =
-        disk.Load(job.digest, job.feature_strings[f]);
-    ASSERT_TRUE(cached.has_value()) << "feature " << f << " not cached";
-    EXPECT_EQ(*cached, selected) << "feature " << f;
+    DiskLoadResult cached = disk.LoadEntry(job.digest, job.feature_strings[f]);
+    ASSERT_TRUE(cached.hit()) << "feature " << f << " not cached";
+    EXPECT_EQ(cached.selected, selected) << "feature " << f;
   }
 }
 
