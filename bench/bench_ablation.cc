@@ -1,7 +1,4 @@
 // Ablation studies for the design choices called out in DESIGN.md §3:
-//   hom_fc_on / hom_fc_off : forward checking in the homomorphism engine —
-//       with pruning off, only per-fact compatibility is verified, and the
-//       search tree balloons on structured instances;
 //   qbe_minimize_on / off  : core minimization of QBE explanations — the
 //       canonical product is orders of magnitude larger than its core;
 //   solver_shared / fresh  : reusing one cover-game solver across entity
@@ -12,47 +9,11 @@
 
 #include "bench_util.h"
 #include "covergame/cover_game.h"
-#include "cq/homomorphism.h"
 #include "qbe/qbe.h"
-#include "util/budget.h"
 #include "workload/movies.h"
 
 namespace featsep {
 namespace {
-
-void RunHomAblation(benchmark::State& state, bool forward_checking) {
-  // Cycle-divisibility instances: C_{2n} -> C_n exists; C_{2n+1} -> C_n
-  // search must exhaust. A mix stresses propagation.
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto a = bench::RandomGraphDatabase(2 * n, 4 * n, 91);
-  auto b = bench::RandomGraphDatabase(n, 2 * n, 92);
-  HomOptions options;
-  options.forward_checking = forward_checking;
-  std::uint64_t nodes = 0;
-  bool exhausted = false;
-  for (auto _ : state) {
-    // Without pruning the refutation search is astronomically large; the
-    // step limit (one step per node) turns "never finishes" into a
-    // measurable exhaustion count.
-    ExecutionBudget budget = ExecutionBudget::WithStepLimit(2000000);
-    options.budget = &budget;
-    HomResult result = FindHomomorphism(*a, *b, {}, options);
-    nodes = result.nodes;
-    exhausted = result.status == HomStatus::kExhausted;
-    benchmark::DoNotOptimize(result.status);
-  }
-  state.counters["search_nodes"] = static_cast<double>(nodes);
-  state.counters["exhausted"] = exhausted ? 1 : 0;
-}
-
-void BM_HomForwardCheckingOn(benchmark::State& state) {
-  RunHomAblation(state, true);
-}
-void BM_HomForwardCheckingOff(benchmark::State& state) {
-  RunHomAblation(state, false);
-}
-BENCHMARK(BM_HomForwardCheckingOn)->Arg(8)->Arg(16)->Arg(24);
-BENCHMARK(BM_HomForwardCheckingOff)->Arg(8)->Arg(16)->Arg(24);
 
 void RunQbeMinimization(benchmark::State& state, bool minimize) {
   auto db = MakeMovieDatabase();

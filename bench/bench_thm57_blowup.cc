@@ -36,12 +36,10 @@ BENCHMARK(BM_Thm57Dimension)->Arg(2)->Arg(4)->Arg(8)->Arg(12);
 void BM_Thm57GeneratedAtoms(benchmark::State& state) {
   std::size_t m = static_cast<std::size_t>(state.range(0));
   auto training = AlternatingPathFamily(m);
-  GhwGenerationOptions options;
-  options.minimize = true;
   std::size_t total_atoms = 0;
   std::size_t dimension = 0;
   for (auto _ : state) {
-    auto statistic = GenerateGhw1Statistic(*training, options);
+    auto statistic = GenerateGhw1Statistic(*training);
     total_atoms = statistic->TotalAtoms();
     dimension = statistic->dimension();
     benchmark::DoNotOptimize(total_atoms);

@@ -11,8 +11,14 @@
 
 namespace featsep {
 
-ConjunctiveQuery UnravelingQuery(const Database& db, Value e, std::size_t d,
-                                 const GhwGenerationOptions& options) {
+namespace {
+
+/// Cap on the atom count of a single unraveling (CHECK beyond).
+constexpr std::size_t kMaxUnravelAtoms = 2000000;
+
+}  // namespace
+
+ConjunctiveQuery UnravelingQuery(const Database& db, Value e, std::size_t d) {
   FEATSEP_CHECK(db.InDomain(e) || db.IsEntity(e));
   ConjunctiveQuery q(db.schema_ptr());
   Variable root = q.NewVariable("x");
@@ -34,7 +40,7 @@ ConjunctiveQuery UnravelingQuery(const Database& db, Value e, std::size_t d,
     frontier.pop_front();
     if (node.depth >= d) continue;
     for (FactIndex fi : db.FactsContaining(node.value)) {
-      if (options.non_backtracking && fi == node.incoming) continue;
+      if (fi == node.incoming) continue;
       const Fact& fact = db.fact(fi);
       // One copy per anchor position where our value occurs.
       for (std::size_t anchor = 0; anchor < fact.args.size(); ++anchor) {
@@ -51,8 +57,9 @@ ConjunctiveQuery UnravelingQuery(const Database& db, Value e, std::size_t d,
           }
         }
         q.AddAtom(fact.relation, std::move(args));
-        FEATSEP_CHECK_LT(++atoms, options.max_unravel_atoms)
-            << "unraveling exceeded max_unravel_atoms at depth " << d;
+        FEATSEP_CHECK_LT(++atoms, kMaxUnravelAtoms)
+            << "unraveling exceeded " << kMaxUnravelAtoms << " atoms at depth "
+            << d;
       }
     }
   }
@@ -63,20 +70,17 @@ std::optional<ConjunctiveQuery> FindDistinguishingAcyclicQuery(
     const Database& db, Value e, Value e_prime,
     const GhwGenerationOptions& options) {
   for (std::size_t d = 0; d <= options.max_unravel_depth; ++d) {
-    ConjunctiveQuery q = UnravelingQuery(db, e, d, options);
+    ConjunctiveQuery q = UnravelingQuery(db, e, d);
     CqEvaluator evaluator(q);
     // Unravelings always select their base point; verify as an invariant.
     FEATSEP_CHECK(evaluator.SelectsEntity(db, e))
         << "unraveling fails to select its base point";
     if (!evaluator.SelectsEntity(db, e_prime)) {
-      if (options.minimize) {
-        ConjunctiveQuery minimized = MinimizeCq(q);
-        CqEvaluator check(minimized);
-        FEATSEP_CHECK(check.SelectsEntity(db, e));
-        FEATSEP_CHECK(!check.SelectsEntity(db, e_prime));
-        return minimized;
-      }
-      return q;
+      ConjunctiveQuery minimized = MinimizeCq(q);
+      CqEvaluator check(minimized);
+      FEATSEP_CHECK(check.SelectsEntity(db, e));
+      FEATSEP_CHECK(!check.SelectsEntity(db, e_prime));
+      return minimized;
     }
   }
   return std::nullopt;

@@ -17,14 +17,6 @@ struct GhwGenerationOptions {
   /// distinguishing queries grow with this depth; Theorem 5.7 shows they
   /// must be allowed to grow exponentially).
   std::size_t max_unravel_depth = 64;
-  /// Cap on the atom count of a single unraveling (CHECK beyond).
-  std::size_t max_unravel_atoms = 2000000;
-  /// Non-backtracking unravelings only (smaller queries; still complete
-  /// for the workloads in this repository — see DESIGN.md §3 notes).
-  bool non_backtracking = true;
-  /// Run core minimization on each distinguishing query (exponential but
-  /// drastically shrinks the output).
-  bool minimize = true;
 };
 
 /// Searches for a GHW(1) (acyclic) feature query q with e ∈ q(D) and
@@ -35,15 +27,20 @@ struct GhwGenerationOptions {
 /// unravelings of (D, e) are universal among the acyclic queries selecting
 /// e, so deep enough unravelings find it (exponentially deep in |D| in the
 /// worst case; this is the Prop 5.6 exponential cost made explicit).
-/// Returns nullopt if no distinguishing query exists within the budget.
+/// The returned query is core-minimized (exponential, but it drastically
+/// shrinks the output). Returns nullopt if no distinguishing query exists
+/// within the budget.
 std::optional<ConjunctiveQuery> FindDistinguishingAcyclicQuery(
     const Database& db, Value e, Value e_prime,
     const GhwGenerationOptions& options = {});
 
 /// The depth-d tree unraveling of (D, e) as a unary feature query: the
-/// universal acyclic query of radius d selecting e.
-ConjunctiveQuery UnravelingQuery(const Database& db, Value e, std::size_t d,
-                                 const GhwGenerationOptions& options = {});
+/// universal acyclic query of radius d selecting e. The unraveling is
+/// non-backtracking (it never leaves a node through the fact it arrived
+/// by), which keeps the queries smaller and is still complete for the
+/// workloads in this repository — see DESIGN.md §3 notes. CHECK-fails
+/// beyond 2,000,000 atoms.
+ConjunctiveQuery UnravelingQuery(const Database& db, Value e, std::size_t d);
 
 /// Materializes a GHW(1)-separating statistic for a GHW(1)-separable
 /// training database, following Lemma 5.4: one feature q_e per

@@ -4,21 +4,20 @@
 #include <unordered_set>
 #include <utility>
 
+#include "hypertree/ghw.h"
 #include "util/check.h"
 #include "util/hash.h"
 
 namespace featsep {
 
 std::optional<DecomposedEvaluator> DecomposedEvaluator::Create(
-    const ConjunctiveQuery& query, std::size_t max_width,
-    const GhwOptions& options) {
+    const ConjunctiveQuery& query, std::size_t max_width) {
   FEATSEP_CHECK(query.IsUnary())
       << "DecomposedEvaluator supports unary feature queries";
 
   std::vector<Variable> vertex_to_variable;
   Hypergraph hypergraph = QueryHypergraph(query, &vertex_to_variable);
-  std::optional<TreeDecomposition> td =
-      DecideGhwAtMost(hypergraph, max_width, options);
+  std::optional<TreeDecomposition> td = DecideGhwAtMost(hypergraph, max_width);
   if (!td.has_value()) return std::nullopt;
 
   DecomposedEvaluator evaluator(query, 0);

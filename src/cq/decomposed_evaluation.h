@@ -7,7 +7,6 @@
 
 #include "cq/cq.h"
 #include "hypertree/decomposition.h"
-#include "hypertree/ghw.h"
 #include "relational/database.h"
 
 namespace featsep {
@@ -35,8 +34,7 @@ class DecomposedEvaluator {
   /// Builds the evaluation plan. Returns nullopt if ghw(q) > max_width.
   /// The query must be unary.
   static std::optional<DecomposedEvaluator> Create(
-      const ConjunctiveQuery& query, std::size_t max_width,
-      const GhwOptions& options = {});
+      const ConjunctiveQuery& query, std::size_t max_width);
 
   /// True iff e ∈ q(D).
   bool SelectsEntity(const Database& db, Value entity) const;

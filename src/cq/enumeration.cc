@@ -8,6 +8,9 @@ namespace featsep {
 
 namespace {
 
+/// Hard cap on the number of generated queries (see EnumerateFeatureQueries).
+constexpr std::size_t kMaxQueries = 5000000;
+
 /// Atom under construction: relation id + argument variable ids, ordered
 /// lexicographically to canonicalize atom-list permutations.
 struct ProtoAtom {
@@ -51,8 +54,8 @@ class Enumerator {
       for (std::size_t a : atom.args) args.push_back(vars[a]);
       q.AddAtom(atom.relation, std::move(args));
     }
-    FEATSEP_CHECK_LT(results_.size(), options_.max_queries)
-        << "CQ[m] enumeration exceeded max_queries";
+    FEATSEP_CHECK_LT(results_.size(), kMaxQueries)
+        << "CQ[m] enumeration exceeded " << kMaxQueries << " queries";
     results_.push_back(std::move(q));
   }
 

@@ -15,9 +15,6 @@ struct EnumerationOptions {
   /// Maximum number of occurrences of any variable (the paper's p in
   /// CQ[m,p]); 0 means unrestricted.
   std::size_t max_variable_occurrences = 0;
-  /// Hard cap on the number of generated queries (CHECK-failure beyond it;
-  /// the count is exponential in m · max-arity, see Prop 4.1).
-  std::size_t max_queries = 5000000;
   /// If true, every free-variable-disconnected query is kept (such features
   /// express Boolean conditions about D and are legitimate CQ[m] features).
   bool include_disconnected = true;
@@ -32,7 +29,8 @@ struct EnumerationOptions {
 /// separable by the statistic consisting of all of these queries.
 ///
 /// The count is bounded by r^m · 2^{p(k)} for r relations of maximal arity
-/// k (Prop 4.1) — exponential in m·k, so keep m and the arity small.
+/// k (Prop 4.1) — exponential in m·k, so keep m and the arity small; the
+/// enumeration CHECK-fails beyond 5,000,000 queries.
 std::vector<ConjunctiveQuery> EnumerateFeatureQueries(
     const std::shared_ptr<const Schema>& schema, std::size_t m,
     const EnumerationOptions& options = {});

@@ -63,48 +63,24 @@ CqEvaluator::Binding CqEvaluator::Bind(const Database& db) const {
   return Binding(*this, db);
 }
 
-std::optional<bool> CqEvaluator::Binding::Probe(ExecutionBudget* budget) {
+std::optional<bool> CqEvaluator::Binding::TrySelectsEntity(
+    Value entity, ExecutionBudget* budget) {
+  FEATSEP_CHECK(evaluator_->query_.IsUnary());
   if (!rest_maps_.has_value()) {
-    HomOptions options;
-    options.budget = budget;
-    HomResult rest = FindHomomorphism(evaluator_->rest_, *db_, {}, options);
+    HomResult rest = FindHomomorphism(evaluator_->rest_, *db_, {}, budget);
     if (rest.status == HomStatus::kExhausted) return std::nullopt;
     rest_maps_ = rest.status == HomStatus::kFound;
   }
   if (!*rest_maps_) return false;
+  seed_.assign(1, {evaluator_->free_tuple_[0], entity});
   HomResult result = component_search_.Run(seed_, budget);
   if (result.status == HomStatus::kExhausted) return std::nullopt;
   return result.status == HomStatus::kFound;
 }
 
-std::optional<bool> CqEvaluator::Binding::TrySelects(
-    const std::vector<Value>& tuple, ExecutionBudget* budget) {
-  const std::vector<Value>& free_tuple = evaluator_->free_tuple_;
-  FEATSEP_CHECK_EQ(tuple.size(), free_tuple.size());
-  seed_.clear();
-  for (std::size_t i = 0; i < tuple.size(); ++i) {
-    seed_.emplace_back(free_tuple[i], tuple[i]);
-  }
-  return Probe(budget);
-}
-
-std::optional<bool> CqEvaluator::Binding::TrySelectsEntity(
-    Value entity, ExecutionBudget* budget) {
-  FEATSEP_CHECK(evaluator_->query_.IsUnary());
-  seed_.assign(1, {evaluator_->free_tuple_[0], entity});
-  return Probe(budget);
-}
-
 bool CqEvaluator::Binding::SelectsEntity(Value entity) {
   std::optional<bool> selects = TrySelectsEntity(entity, nullptr);
   FEATSEP_CHECK(selects.has_value());  // No budget, so never interrupted.
-  return *selects;
-}
-
-bool CqEvaluator::Selects(const Database& db,
-                          const std::vector<Value>& tuple) const {
-  std::optional<bool> selects = Bind(db).TrySelects(tuple, nullptr);
-  FEATSEP_CHECK(selects.has_value());
   return *selects;
 }
 
@@ -119,7 +95,7 @@ std::optional<bool> CqEvaluator::TrySelectsEntity(
 
 std::vector<Value> CqEvaluator::Evaluate(const Database& db) const {
   FEATSEP_CHECK(query_.IsUnary())
-      << "Evaluate supports unary queries; use Selects for general tuples";
+      << "Evaluate supports unary queries only";
   std::vector<Value> candidates =
       has_entity_atom_ ? db.Entities() : db.domain();
   Binding binding = Bind(db);

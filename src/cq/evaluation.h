@@ -36,13 +36,11 @@ class CqEvaluator {
   /// must outlive the binding, and the database must not change under it.
   class Binding {
    public:
-    /// Budgeted probe: nullopt when `budget` interrupted the search before
-    /// it decided (never read nullopt as "not selected"); otherwise the
-    /// definitive membership ā ∈ q(D). A later probe redoes whatever an
-    /// interruption left undecided. nullptr = unbounded.
-    std::optional<bool> TrySelects(const std::vector<Value>& tuple,
-                                   ExecutionBudget* budget);
-    /// TrySelects for unary queries: e ∈ q(D).
+    /// Budgeted probe for unary queries: nullopt when `budget` interrupted
+    /// the search before it decided (never read nullopt as "not
+    /// selected"); otherwise the definitive membership e ∈ q(D). A later
+    /// probe redoes whatever an interruption left undecided. nullptr =
+    /// unbounded.
     std::optional<bool> TrySelectsEntity(Value entity,
                                          ExecutionBudget* budget);
     /// Unbounded TrySelectsEntity.
@@ -51,8 +49,6 @@ class CqEvaluator {
    private:
     friend class CqEvaluator;
     Binding(const CqEvaluator& evaluator, const Database& db);
-    /// Decides seed_ against the database.
-    std::optional<bool> Probe(ExecutionBudget* budget);
 
     const CqEvaluator* evaluator_;
     const Database* db_;
@@ -65,13 +61,10 @@ class CqEvaluator {
   /// Binds the query to `db`. Cheap: the work starts with the first probe.
   Binding Bind(const Database& db) const;
 
-  /// True iff ā ∈ q(D), i.e., (D_q, x̄) → (D, ā).
-  bool Selects(const Database& db, const std::vector<Value>& tuple) const;
-
-  /// For unary queries: true iff e ∈ q(D).
+  /// For unary queries: true iff e ∈ q(D), i.e., (D_q, x) → (D, e).
   bool SelectsEntity(const Database& db, Value entity) const;
 
-  /// One-entity budgeted probe; see Binding::TrySelects.
+  /// One-entity budgeted probe; see Binding::TrySelectsEntity.
   std::optional<bool> TrySelectsEntity(const Database& db, Value entity,
                                        ExecutionBudget* budget) const;
 

@@ -36,8 +36,7 @@ namespace {
 /// preparation is already on the trail.
 class HomSearch {
  public:
-  HomSearch(const Database& from, const Database& to, bool forward_checking)
-      : from_(from), to_(to), forward_checking_(forward_checking) {}
+  HomSearch(const Database& from, const Database& to) : from_(from), to_(to) {}
 
   /// The search for a homomorphism extending `seed`, charged one step per
   /// node to `budget` (nullptr = unbounded).
@@ -129,7 +128,6 @@ class HomSearch {
 
   const Database& from_;
   const Database& to_;
-  const bool forward_checking_;
   ExecutionBudget* budget_ = nullptr;  // The current Run's budget.
 
   std::vector<Value> vars_;          // var index -> dom(from) element.
@@ -593,7 +591,6 @@ bool HomSearch::CheckFact(FactIndex fact_index) {
       FEATSEP_COVERAGE(kHomDeadFact);
       return false;
     }
-    if (!forward_checking_) return true;
     VarIndex pivot_var = info.vars[pivot];
     const std::vector<SvoBitset>& support =
         Support(fact.relation, pivot, assigned_index_[pivot_var],
@@ -648,7 +645,6 @@ bool HomSearch::CheckFact(FactIndex fact_index) {
     FEATSEP_COVERAGE(kHomDeadFact);
     return false;
   }
-  if (!forward_checking_) return true;
 
   // Accumulate per-position supports of the compatible facts, then prune
   // the domains of this fact's unassigned variables.
@@ -706,13 +702,12 @@ void HomSearch::UndoTo(std::size_t mark) {
 
 HomResult FindHomomorphism(const Database& from, const Database& to,
                            const std::vector<std::pair<Value, Value>>& seed,
-                           const HomOptions& options) {
-  return HomSearch(from, to, options.forward_checking).Run(seed, options.budget);
+                           ExecutionBudget* budget) {
+  return HomSearch(from, to).Run(seed, budget);
 }
 
 struct PreparedHomSearch::State {
-  State(const Database& from, const Database& to)
-      : search(from, to, /*forward_checking=*/true) {}
+  State(const Database& from, const Database& to) : search(from, to) {}
   HomSearch search;
 };
 
@@ -754,10 +749,10 @@ std::optional<bool> TryHomEquivalent(const Database& from,
     forward.emplace_back(from_tuple[i], to_tuple[i]);
     backward.emplace_back(to_tuple[i], from_tuple[i]);
   }
-  HomResult fwd = FindHomomorphism(from, to, forward, {.budget = budget});
+  HomResult fwd = FindHomomorphism(from, to, forward, budget);
   if (fwd.status == HomStatus::kExhausted) return std::nullopt;
   if (fwd.status != HomStatus::kFound) return false;
-  HomResult bwd = FindHomomorphism(to, from, backward, {.budget = budget});
+  HomResult bwd = FindHomomorphism(to, from, backward, budget);
   if (bwd.status == HomStatus::kExhausted) return std::nullopt;
   return bwd.status == HomStatus::kFound;
 }

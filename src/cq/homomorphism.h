@@ -12,22 +12,6 @@
 
 namespace featsep {
 
-/// Options for the homomorphism search.
-struct HomOptions {
-  /// Cooperative execution budget (deadline / step limit / cancellation),
-  /// charged one step per search-tree node; nullptr = unbounded. An
-  /// interrupted search returns kExhausted with the budget's outcome —
-  /// never a definitive kNone. Deciding homomorphism existence is
-  /// NP-complete, so callers probing hard instances should set one (e.g.
-  /// ExecutionBudget::WithStepLimit to cap the node count).
-  ExecutionBudget* budget = nullptr;
-  /// Prune neighbor domains on every assignment (forward checking). With
-  /// this off, the search only verifies that each touched fact still has a
-  /// compatible target fact — an ablation knob for bench_ablation; leave on
-  /// for real use.
-  bool forward_checking = true;
-};
-
 /// Outcome of a homomorphism search.
 enum class HomStatus {
   kFound,      ///< A homomorphism exists; `mapping` is a witness.
@@ -59,10 +43,15 @@ struct HomResult {
 /// forward checking against precomputed (relation, position, value) support
 /// bitsets, and minimum-remaining-values variable selection with a degree
 /// tie-break. Worst-case exponential (the problem is NP-complete).
+///
+/// `budget` (nullptr = unbounded) is charged one step per search-tree node.
+/// An interrupted search returns kExhausted with the budget's outcome —
+/// never a definitive kNone. Callers probing hard instances should pass one
+/// (e.g. ExecutionBudget::WithStepLimit to cap the node count).
 HomResult FindHomomorphism(
     const Database& from, const Database& to,
     const std::vector<std::pair<Value, Value>>& seed = {},
-    const HomOptions& options = {});
+    ExecutionBudget* budget = nullptr);
 
 /// One homomorphism search from `from` into `to`, prepared once and run for
 /// many seeds — the per-entity probes of one query over one database. The
@@ -72,7 +61,7 @@ HomResult FindHomomorphism(
 /// bitsets). Each later Run rewinds to the base domains, re-seeds, and keeps
 /// every target index built so far, so a seed whose image lies outside its
 /// variable's base domain is rejected without a search. Each Run decides
-/// exactly what FindHomomorphism(from, to, seed, {.budget = budget}) would,
+/// exactly what FindHomomorphism(from, to, seed, budget) would,
 /// with the same node count. Not thread-safe (one per thread); `from` and
 /// `to` must outlive it unmodified.
 class PreparedHomSearch {

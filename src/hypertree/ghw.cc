@@ -15,6 +15,9 @@ namespace featsep {
 
 namespace {
 
+/// Cap on the candidate bag family size (see DecideGhwAtMost).
+constexpr std::size_t kMaxBags = 2000000;
+
 /// Key of a (component, connector) subproblem for memoization.
 struct SubproblemKey {
   std::vector<HEdge> component;   // Sorted.
@@ -37,9 +40,9 @@ struct SubproblemKeyHash {
 /// The decision engine for one (graph, k) instance.
 class GhwSearch {
  public:
-  GhwSearch(const Hypergraph& graph, std::size_t k, const GhwOptions& options)
-      : graph_(graph), k_(k), budget_(options.budget) {
-    EnumerateBags(options);
+  GhwSearch(const Hypergraph& graph, std::size_t k, ExecutionBudget* budget)
+      : graph_(graph), k_(k), budget_(budget) {
+    EnumerateBags();
   }
 
   std::optional<TreeDecomposition> Run();
@@ -54,7 +57,7 @@ class GhwSearch {
     std::vector<SubproblemKey> children;
   };
 
-  void EnumerateBags(const GhwOptions& options);
+  void EnumerateBags();
   bool Solve(const SubproblemKey& key);
   /// Appends the decomposition subtree for a solved subproblem to `td`,
   /// returning the index of its root node.
@@ -71,7 +74,7 @@ class GhwSearch {
       memo_;
 };
 
-void GhwSearch::EnumerateBags(const GhwOptions& options) {
+void GhwSearch::EnumerateBags() {
   // All subsets of unions of at most k edges. Any such subset has edge
   // cover number ≤ k by construction; conversely, every bag of a width-k
   // decomposition is a subset of the union of its ≤ k covering edges, so
@@ -92,8 +95,8 @@ void GhwSearch::EnumerateBags(const GhwOptions& options) {
         if ((mask >> i) & 1) subset.push_back(base[i]);
       }
       if (seen.insert(subset).second) {
-        FEATSEP_CHECK_LE(seen.size(), options.max_bags)
-            << "ghw candidate bag family exceeds max_bags";
+        FEATSEP_CHECK_LE(seen.size(), kMaxBags)
+            << "ghw candidate bag family exceeds " << kMaxBags << " bags";
         bags_.push_back(std::move(subset));
       }
     }
@@ -226,23 +229,23 @@ std::optional<TreeDecomposition> GhwSearch::Run() {
 }  // namespace
 
 GhwDecision TryDecideGhwAtMost(const Hypergraph& graph, std::size_t k,
-                               const GhwOptions& options) {
+                               ExecutionBudget* budget) {
   GhwDecision decision;
   // A zero/expired/cancelled budget at entry: no bag enumeration at all.
-  if (!RecheckBudget(options.budget)) {
-    decision.outcome = options.budget->outcome();
+  if (!RecheckBudget(budget)) {
+    decision.outcome = budget->outcome();
     return decision;
   }
-  GhwSearch search(graph, k, options);
+  GhwSearch search(graph, k, budget);
   if (search.interrupted()) {
-    decision.outcome = OutcomeOf(options.budget);
+    decision.outcome = OutcomeOf(budget);
     return decision;
   }
   std::optional<TreeDecomposition> td = search.Run();
   if (search.interrupted()) {
     // An interrupted search may have recorded tainted "unsolvable" memo
     // entries; its answer carries no information.
-    decision.outcome = OutcomeOf(options.budget);
+    decision.outcome = OutcomeOf(budget);
     return decision;
   }
   decision.decomposition = std::move(td);
@@ -250,17 +253,16 @@ GhwDecision TryDecideGhwAtMost(const Hypergraph& graph, std::size_t k,
 }
 
 std::optional<TreeDecomposition> DecideGhwAtMost(const Hypergraph& graph,
-                                                 std::size_t k,
-                                                 const GhwOptions& options) {
-  GhwDecision decision = TryDecideGhwAtMost(graph, k, options);
-  FEATSEP_CHECK(decision.outcome == BudgetOutcome::kCompleted)
-      << "unbudgeted ghw entry point interrupted; use TryDecideGhwAtMost";
+                                                 std::size_t k) {
+  GhwDecision decision = TryDecideGhwAtMost(graph, k, nullptr);
+  // No budget, so never interrupted.
+  FEATSEP_CHECK(decision.outcome == BudgetOutcome::kCompleted);
   return std::move(decision.decomposition);
 }
 
-std::size_t Ghw(const Hypergraph& graph, const GhwOptions& options) {
+std::size_t Ghw(const Hypergraph& graph) {
   for (std::size_t k = 0; k <= graph.num_edges(); ++k) {
-    if (DecideGhwAtMost(graph, k, options).has_value()) return k;
+    if (DecideGhwAtMost(graph, k).has_value()) return k;
   }
   FEATSEP_CHECK(false) << "ghw exceeds the number of edges (impossible)";
   return graph.num_edges();
@@ -292,13 +294,12 @@ Hypergraph QueryHypergraph(const ConjunctiveQuery& query,
   return graph;
 }
 
-std::size_t QueryGhw(const ConjunctiveQuery& query, const GhwOptions& options) {
-  return Ghw(QueryHypergraph(query), options);
+std::size_t QueryGhw(const ConjunctiveQuery& query) {
+  return Ghw(QueryHypergraph(query));
 }
 
-bool IsInGhw(const ConjunctiveQuery& query, std::size_t k,
-             const GhwOptions& options) {
-  return DecideGhwAtMost(QueryHypergraph(query), k, options).has_value();
+bool IsInGhw(const ConjunctiveQuery& query, std::size_t k) {
+  return DecideGhwAtMost(QueryHypergraph(query), k).has_value();
 }
 
 }  // namespace featsep

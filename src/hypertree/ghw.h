@@ -12,19 +12,6 @@
 
 namespace featsep {
 
-/// Options for the ghw decision procedure.
-struct GhwOptions {
-  /// Upper bound on the candidate bag family size; the procedure CHECK-fails
-  /// beyond it (deciding ghw ≤ k is NP-hard for fixed k ≥ 2 — Gottlob et
-  /// al. — so blowup on large inputs is inherent; this guard makes it loud).
-  std::size_t max_bags = 2000000;
-  /// Cooperative budget (nullptr = unbounded), charged per enumerated bag
-  /// candidate and per bag tried in the subproblem search. Only
-  /// TryDecideGhwAtMost tolerates interruption; the unbudgeted entry points
-  /// CHECK-fail if a budget trips mid-decision.
-  ExecutionBudget* budget = nullptr;
-};
-
 /// Outcome of a budgeted ghw decision.
 struct GhwDecision {
   /// kCompleted: `decomposition` is definitive (nullopt = ghw > k).
@@ -33,10 +20,12 @@ struct GhwDecision {
   std::optional<TreeDecomposition> decomposition;
 };
 
-/// Budgeted variant of DecideGhwAtMost: an interrupted search reports the
-/// budget outcome instead of an answer.
+/// Budgeted variant of DecideGhwAtMost: `budget` (nullptr = unbounded) is
+/// charged per enumerated bag candidate and per bag tried in the
+/// subproblem search, and an interrupted search reports the budget outcome
+/// instead of an answer.
 GhwDecision TryDecideGhwAtMost(const Hypergraph& graph, std::size_t k,
-                               const GhwOptions& options = {});
+                               ExecutionBudget* budget);
 
 /// Decides whether ghw(graph) ≤ k and, if so, returns a witness tree
 /// decomposition of width ≤ k (validated by ValidateDecomposition).
@@ -46,13 +35,16 @@ GhwDecision TryDecideGhwAtMost(const Hypergraph& graph, std::size_t k,
 /// *generalized* hypertree width is obtained by drawing bags from the full
 /// family of subsets of unions of ≤ k edges (the subedge-closure that plain
 /// det-k-decomp lacks), which keeps the procedure exact at exponential
-/// worst-case cost — appropriate for query-sized hypergraphs.
-std::optional<TreeDecomposition> DecideGhwAtMost(
-    const Hypergraph& graph, std::size_t k, const GhwOptions& options = {});
+/// worst-case cost — appropriate for query-sized hypergraphs. The candidate
+/// bag family is capped at 2,000,000 bags, beyond which the procedure
+/// CHECK-fails (deciding ghw ≤ k is NP-hard for fixed k ≥ 2 — Gottlob et
+/// al. — so blowup on large inputs is inherent; the cap makes it loud).
+std::optional<TreeDecomposition> DecideGhwAtMost(const Hypergraph& graph,
+                                                 std::size_t k);
 
 /// The exact generalized hypertree width: the least k with ghw(graph) ≤ k
 /// (0 for hypergraphs with no nonempty edge).
-std::size_t Ghw(const Hypergraph& graph, const GhwOptions& options = {});
+std::size_t Ghw(const Hypergraph& graph);
 
 /// Builds the hypergraph of a CQ per the paper's Section 5 definition:
 /// vertices are the existentially quantified variables, edges are the atom
@@ -62,12 +54,10 @@ Hypergraph QueryHypergraph(const ConjunctiveQuery& query,
                            std::vector<Variable>* vertex_to_variable = nullptr);
 
 /// ghw of a CQ.
-std::size_t QueryGhw(const ConjunctiveQuery& query,
-                     const GhwOptions& options = {});
+std::size_t QueryGhw(const ConjunctiveQuery& query);
 
 /// True iff the CQ belongs to GHW(k).
-bool IsInGhw(const ConjunctiveQuery& query, std::size_t k,
-             const GhwOptions& options = {});
+bool IsInGhw(const ConjunctiveQuery& query, std::size_t k);
 
 }  // namespace featsep
 

@@ -9,6 +9,10 @@ namespace featsep {
 
 namespace {
 
+/// Total mistake-driven updates before giving up.
+constexpr std::size_t kMaxUpdates = 20000;
+constexpr std::uint64_t kSeed = 1;
+
 /// xorshift64* PRNG; deterministic across platforms.
 class Rng {
  public:
@@ -43,7 +47,7 @@ std::size_t CountErrors(const std::vector<std::vector<int>>& augmented,
 }  // namespace
 
 std::pair<LinearClassifier, std::size_t> PocketPerceptron(
-    const TrainingCollection& examples, const PerceptronOptions& options) {
+    const TrainingCollection& examples) {
   if (examples.empty()) {
     return {LinearClassifier(Rational(0), {}), 0};
   }
@@ -66,10 +70,10 @@ std::pair<LinearClassifier, std::size_t> PocketPerceptron(
   std::vector<std::int64_t> pocket = weights;
   std::size_t pocket_errors = CountErrors(augmented, labels, weights);
 
-  Rng rng(options.seed);
+  Rng rng(kSeed);
   std::size_t updates = 0;
   std::size_t streak = 0;  // Consecutive correct random probes.
-  while (updates < options.max_updates && pocket_errors > 0) {
+  while (updates < kMaxUpdates && pocket_errors > 0) {
     std::size_t i = rng.Below(augmented.size());
     std::int64_t score = 0;
     for (std::size_t j = 0; j <= n; ++j) score += weights[j] * augmented[i][j];

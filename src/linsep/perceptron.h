@@ -1,20 +1,13 @@
 #ifndef FEATSEP_LINSEP_PERCEPTRON_H_
 #define FEATSEP_LINSEP_PERCEPTRON_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <utility>
 
 #include "linsep/linear_classifier.h"
 #include "linsep/separability_lp.h"
 
 namespace featsep {
-
-/// Options for the pocket perceptron heuristic.
-struct PerceptronOptions {
-  /// Total mistake-driven updates before giving up.
-  std::size_t max_updates = 20000;
-  std::uint64_t seed = 1;
-};
 
 /// Pocket perceptron: runs the classic mistake-driven perceptron on the
 /// (augmented) ±1 vectors, keeping the best-so-far ("pocket") weight vector
@@ -23,9 +16,11 @@ struct PerceptronOptions {
 /// Used as (a) a fast incumbent for the exact min-error branch-and-bound
 /// (approximate separability, paper Section 7 / [17]) and (b) a cheap
 /// separator heuristic — it finds a perfect separator whenever the data is
-/// separable and the update budget exceeds the perceptron mistake bound.
+/// separable and the update budget (20,000 mistake-driven updates) exceeds
+/// the perceptron mistake bound. Deterministic: the example order comes
+/// from a fixed-seed PRNG.
 std::pair<LinearClassifier, std::size_t> PocketPerceptron(
-    const TrainingCollection& examples, const PerceptronOptions& options = {});
+    const TrainingCollection& examples);
 
 }  // namespace featsep
 

@@ -1,6 +1,5 @@
 #include "qbe/qbe.h"
 
-#include <atomic>
 #include <optional>
 #include <utility>
 
@@ -56,8 +55,7 @@ QbeResult SolveCqQbe(const QbeInstance& instance, const QbeOptions& options) {
       options.num_threads, instance.negatives.size(), [&](std::size_t i) {
         HomResult hom = FindHomomorphism(
             product.db, *instance.db,
-            {{product.tuple[0], instance.negatives[i]}},
-            {.budget = options.budget});
+            {{product.tuple[0], instance.negatives[i]}}, options.budget);
         return hom.status == HomStatus::kFound;
       });
   result.outcome = OutcomeOf(options.budget);
@@ -127,59 +125,29 @@ QbeResult SolveCqmQbe(const QbeInstance& instance, std::size_t m,
       EnumerateFeatureQueries(db.schema_ptr(), m, enum_options);
 
   QbeResult result;
-  FEATSEP_CHECK_LE(options.first_candidate, candidates.size())
-      << "QBE resume point past the candidate family";
-  result.candidates_screened = options.first_candidate;
   if (!RecheckBudget(options.budget)) {
     result.outcome = options.budget->outcome();
     return result;
   }
 
   // Each candidate query is screened independently; fan the screens out
-  // and return the first explanation in enumeration order (among indices ≥
-  // first_candidate).
-  //
-  // candidates_screened tracking makes interrupted sweeps resumable: it
-  // counts the longest prefix of *definitively rejected* candidates, so a
-  // re-run starting there re-screens nothing that was already decided and
-  // the resumed answer matches the uninterrupted one. Per-candidate
-  // "definitively rejected" flags recover that prefix even when some
-  // screens were interrupted out of order. C++20 value-initializes the
-  // atomics.
-  const std::size_t first = options.first_candidate;
-  const std::size_t pending = candidates.size() - first;
-  std::vector<std::atomic<char>> rejected(pending);
-  const std::size_t relative = ParallelFindFirst(
-      options.num_threads, pending, [&](std::size_t i) {
-        const std::size_t index = first + i;
-        CqEvaluator evaluator(candidates[index]);
+  // and return the first explanation in enumeration order.
+  const std::size_t hit = ParallelFindFirst(
+      options.num_threads, candidates.size(), [&](std::size_t i) {
+        CqEvaluator evaluator(candidates[i]);
         CqEvaluator::Binding binding = evaluator.Bind(db);
         for (Value e : instance.positives) {
           std::optional<bool> selects =
               binding.TrySelectsEntity(e, options.budget);
-          if (!selects.has_value()) return false;  // Undecided.
-          if (!*selects) {
-            rejected[i].store(1, std::memory_order_relaxed);
-            return false;
-          }
+          if (!selects.value_or(false)) return false;  // Rejected or undecided.
         }
         for (Value b : instance.negatives) {
           std::optional<bool> selects =
               binding.TrySelectsEntity(b, options.budget);
-          if (!selects.has_value()) return false;  // Undecided.
-          if (*selects) {
-            rejected[i].store(1, std::memory_order_relaxed);
-            return false;
-          }
+          if (selects.value_or(true)) return false;  // Rejected or undecided.
         }
         return true;
       });
-  const std::size_t hit =
-      relative < pending ? first + relative : candidates.size();
-  for (std::size_t i = 0; first + i < hit; ++i) {
-    if (rejected[i].load(std::memory_order_relaxed) == 0) break;
-    result.candidates_screened = first + i + 1;
-  }
   result.outcome = OutcomeOf(options.budget);
   if (hit < candidates.size()) {
     // The accepted candidate's screen ran to completion, so the
@@ -189,9 +157,6 @@ QbeResult SolveCqmQbe(const QbeInstance& instance, std::size_t m,
     result.exists = true;
     result.explanation = std::move(candidates[hit]);
     return result;
-  }
-  if (result.outcome == BudgetOutcome::kCompleted) {
-    result.candidates_screened = candidates.size();
   }
   result.exists = false;
   return result;

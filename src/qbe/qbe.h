@@ -38,12 +38,6 @@ struct QbeOptions {
   /// game, and candidate screen; nullptr = unbounded. Interrupted runs
   /// report their outcome in QbeResult::outcome.
   ExecutionBudget* budget = nullptr;
-  /// SolveCqmQbe resume point: screening starts at this candidate index,
-  /// treating all earlier candidates as definitively rejected by a previous
-  /// (interrupted) run — pass the prior result's `candidates_screened`.
-  /// Resuming an interrupted sweep to completion yields the same answer as
-  /// one uninterrupted run.
-  std::size_t first_candidate = 0;
 };
 
 /// Result of a QBE solver call.
@@ -60,11 +54,6 @@ struct QbeResult {
   /// explanation that screened clean; `exists == false` with no such
   /// witness is UNDECIDED.
   BudgetOutcome outcome = BudgetOutcome::kCompleted;
-  /// SolveCqmQbe only: length of the definitively-rejected candidate
-  /// prefix (in enumeration order, counting from 0 and including any
-  /// `first_candidate` head start). Feed back as
-  /// QbeOptions::first_candidate to resume an interrupted sweep.
-  std::size_t candidates_screened = 0;
 };
 
 /// CQ-QBE via the product homomorphism method (ten Cate–Dalmau): the

@@ -160,15 +160,9 @@ class CoverageMap {
 }  // namespace featsep
 
 /// Coverage probe: a no-op unless SetCoverageEnabled(true) is in effect.
-/// `site` is an unqualified CoverageSite enumerator name. Compiling with
-/// -DFEATSEP_NO_COVERAGE removes the probes entirely (the runtime-disabled
+/// `site` is an unqualified CoverageSite enumerator name. The disabled
 /// cost is one relaxed load + predictable branch, within bench noise — see
-/// EXPERIMENTS.md E16 — but embedders can opt out of even that).
-#ifdef FEATSEP_NO_COVERAGE
-#define FEATSEP_COVERAGE(site) \
-  do {                         \
-  } while (0)
-#else
+/// EXPERIMENTS.md E16.
 #define FEATSEP_COVERAGE(site)                                              \
   do {                                                                      \
     if (::featsep::testing::coverage_internal::g_coverage_enabled.load(     \
@@ -179,6 +173,5 @@ class CoverageMap {
               .fetch_add(1, std::memory_order_relaxed);                     \
     }                                                                       \
   } while (0)
-#endif  // FEATSEP_NO_COVERAGE
 
 #endif  // FEATSEP_TESTING_COVERAGE_H_

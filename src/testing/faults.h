@@ -24,8 +24,7 @@ namespace testing {
 /// reproducible whenever the underlying work is deterministic.
 ///
 /// Cost model mirrors FEATSEP_COVERAGE: a disarmed probe is one relaxed
-/// atomic load and a predictable branch, and -DFEATSEP_NO_COVERAGE removes
-/// the probes entirely. At most one fault is armed at a time (the fuzz
+/// atomic load and a predictable branch. At most one fault is armed at a time (the fuzz
 /// driver's model); arming and disarming must not race with instrumented
 /// kernels still running.
 enum class FaultKind : std::uint8_t {
@@ -90,11 +89,6 @@ void OnFaultPoint(CoverageSite site);
 /// FEATSEP_COVERAGE probe of the same site at the budget-relevant kernel
 /// events (hom nodes/backtracks, GHW subproblems, cover-game fixpoint
 /// rounds, simplex pivots).
-#ifdef FEATSEP_NO_COVERAGE
-#define FEATSEP_FAULT_POINT(site) \
-  do {                            \
-  } while (0)
-#else
 #define FEATSEP_FAULT_POINT(site)                                     \
   do {                                                                \
     if (::featsep::testing::faults_internal::g_fault_armed.load(      \
@@ -103,6 +97,5 @@ void OnFaultPoint(CoverageSite site);
           ::featsep::testing::CoverageSite::site);                    \
     }                                                                 \
   } while (0)
-#endif  // FEATSEP_NO_COVERAGE
 
 #endif  // FEATSEP_TESTING_FAULTS_H_

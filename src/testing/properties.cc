@@ -104,15 +104,6 @@ PropertyCheck CheckHomAgainstReference(
     }
   }
 
-  HomOptions no_fc;
-  no_fc.forward_checking = false;
-  HomResult unpruned = FindHomomorphism(from, to, seed, no_fc);
-  if ((unpruned.status == HomStatus::kFound) != fast_found) {
-    return Violation("hom-vs-reference/forward-checking",
-                     "decision differs with forward checking off\n" +
-                         DescribeHomPair(from, to));
-  }
-
   // The prepared search must decide exactly what a fresh FindHomomorphism
   // does, with the same node count: first on the empty seed, then, after
   // rewinding, on the instance's seed.
@@ -476,14 +467,14 @@ PropertyCheck CheckQbeProperties(const Database& db,
     }
     CqEvaluator evaluator(*result->explanation);
     for (Value e : positives) {
-      if (!evaluator.Selects(db, {e})) {
+      if (!evaluator.SelectsEntity(db, e)) {
         return Violation("qbe/explanation-screens",
                          "explanation misses positive " + db.value_name(e) +
                              "\n" + describe());
       }
     }
     for (Value b : negatives) {
-      if (evaluator.Selects(db, {b})) {
+      if (evaluator.SelectsEntity(db, b)) {
         return Violation("qbe/explanation-screens",
                          "explanation selects negative " + db.value_name(b) +
                              "\n" + describe());
@@ -501,15 +492,13 @@ PropertyCheck CheckQbeProperties(const Database& db,
     }
   }
 
-  // SolveCqmQbe: 1/2/8-thread determinism of decision, explanation and the
-  // rejected-prefix length.
+  // SolveCqmQbe: 1/2/8-thread determinism of decision and explanation.
   QbeResult cqm[3];
   for (int i = 0; i < 3; ++i) {
     cqm[i] = SolveCqmQbe(instance, m, 0, {.num_threads = thread_counts[i]});
   }
   for (int i = 1; i < 3; ++i) {
-    if (!same_answer(cqm[i], cqm[0]) ||
-        cqm[i].candidates_screened != cqm[0].candidates_screened) {
+    if (!same_answer(cqm[i], cqm[0])) {
       return Violation("qbe/cqm-threads",
                        "SolveCqmQbe differs between 1 and " +
                            std::to_string(thread_counts[i]) + " threads\n" +

@@ -33,7 +33,7 @@ struct PropertyViolation {
 using PropertyCheck = std::optional<PropertyViolation>;
 
 /// FindHomomorphism vs the reference oracle on (from, to, seed):
-///   - decision agreement (with forward checking on and off),
+///   - decision agreement,
 ///   - witness validity when the kernel reports kFound,
 ///   - PreparedHomSearch agreement (status and node count) on the empty
 ///     seed and then, rewound, on `seed`.
@@ -90,8 +90,8 @@ PropertyCheck CheckSepThreadDeterminism(const TrainingDatabase& training);
 ///     negative (kernel evaluator), minimized or not;
 ///   - when none exists, dropping S⁻ makes one exist (the canonical
 ///     product query);
-///   - SolveCqmQbe returns the identical decision, explanation and
-///     candidates_screened at 1, 2, and 8 threads, the explanation screens
+///   - SolveCqmQbe returns the identical decision and explanation at 1,
+///     2, and 8 threads, the explanation screens
 ///     correctly under the *reference* evaluator, and CQ[m]-explainability
 ///     implies CQ-explainability.
 PropertyCheck CheckQbeProperties(const Database& db,

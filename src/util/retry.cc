@@ -43,10 +43,7 @@ RetryOutcome RetryCall(const RetryPolicy& policy, ExecutionBudget* budget,
       if (!RecheckBudget(budget)) return outcome;
       std::this_thread::sleep_for(wait);
     }
-    const double multiplier = std::max(1.0, policy.backoff_multiplier);
-    backoff = std::chrono::microseconds(static_cast<std::int64_t>(
-        static_cast<double>(backoff.count()) * multiplier));
-    if (backoff > policy.max_backoff) backoff = policy.max_backoff;
+    backoff = std::min(backoff * 2, policy.max_backoff);
   }
   return outcome;
 }

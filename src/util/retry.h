@@ -16,9 +16,9 @@ namespace featsep {
 struct RetryPolicy {
   /// Total tries including the first; 1 disables retrying, 0 is treated as 1.
   int max_attempts = 1;
-  /// Backoff before the first retry; each further retry multiplies it.
+  /// Backoff before the first retry; each further retry doubles it, up to
+  /// max_backoff.
   std::chrono::microseconds initial_backoff{0};
-  double backoff_multiplier = 2.0;
   std::chrono::microseconds max_backoff{5000};
   /// Seed for the jitter stream (each backoff is scaled into
   /// [50%, 100%] of its nominal value). 0 disables jitter.

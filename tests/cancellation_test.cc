@@ -82,9 +82,7 @@ TEST(CancellationTest, ExpiredDeadlineStopsHomSearchAtEntry) {
   Database to(schema);
   AddCycle(to, "c", 3);
   ExecutionBudget budget = ExpiredBudget();
-  HomOptions options;
-  options.budget = &budget;
-  HomResult result = FindHomomorphism(from, to, {}, options);
+  HomResult result = FindHomomorphism(from, to, {}, &budget);
   EXPECT_EQ(result.status, HomStatus::kExhausted);
   EXPECT_EQ(result.outcome, BudgetOutcome::kTimedOut);
   EXPECT_EQ(result.nodes, 0u);
@@ -128,9 +126,7 @@ TEST(CancellationTest, ExpiredDeadlineStopsGhwAtEntry) {
   triangle.AddEdge({1, 2});
   triangle.AddEdge({0, 2});
   ExecutionBudget budget = ExpiredBudget();
-  GhwOptions options;
-  options.budget = &budget;
-  GhwDecision decision = TryDecideGhwAtMost(triangle, 1, options);
+  GhwDecision decision = TryDecideGhwAtMost(triangle, 1, &budget);
   EXPECT_EQ(decision.outcome, BudgetOutcome::kTimedOut);
   EXPECT_FALSE(decision.decomposition.has_value());
 }
@@ -237,9 +233,9 @@ TEST(CancellationTest, ServeInterruptedRequestNeverPoisonsTheCache) {
       << "aborted keys were not re-requested";
 }
 
-// --- SolveCqmQbe: interrupt mid-sweep, resume, same answer ----------------
+// --- SolveCqmQbe: an interrupted sweep says so ---------------------------
 
-TEST(CancellationTest, CqmQbeInterruptedSweepResumesToUninterruptedAnswer) {
+TEST(CancellationTest, CqmQbeInterruptedSweepReportsBudgetExhausted) {
   auto db = std::make_shared<Database>(GraphSchema());
   Value a = AddEntity(*db, "a");
   Value b = AddEntity(*db, "b");
@@ -262,25 +258,12 @@ TEST(CancellationTest, CqmQbeInterruptedSweepResumesToUninterruptedAnswer) {
     options.budget = &budget;
     QbeResult partial = SolveCqmQbe(instance, 1, 0, options);
     if (partial.outcome == BudgetOutcome::kCompleted) {
-      EXPECT_EQ(partial.exists, baseline.exists);
+      EXPECT_EQ(partial.exists, baseline.exists) << "limit " << limit;
       continue;
     }
     interrupted_once = true;
-    EXPECT_EQ(partial.outcome, BudgetOutcome::kBudgetExhausted);
-    // Resume from the definitively-rejected prefix with a fresh, unbounded
-    // budget: the stitched run must reproduce the uninterrupted answer.
-    QbeOptions resume;
-    resume.first_candidate = partial.candidates_screened;
-    QbeResult resumed = SolveCqmQbe(instance, 1, 0, resume);
-    EXPECT_EQ(resumed.outcome, BudgetOutcome::kCompleted);
-    EXPECT_EQ(resumed.exists, baseline.exists) << "limit " << limit;
-    ASSERT_EQ(resumed.explanation.has_value(),
-              baseline.explanation.has_value());
-    if (baseline.explanation.has_value()) {
-      EXPECT_EQ(resumed.explanation->ToString(),
-                baseline.explanation->ToString())
-          << "limit " << limit;
-    }
+    EXPECT_EQ(partial.outcome, BudgetOutcome::kBudgetExhausted)
+        << "limit " << limit;
   }
   EXPECT_TRUE(interrupted_once) << "no step limit interrupted the sweep";
 }

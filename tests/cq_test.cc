@@ -197,11 +197,12 @@ TEST(ProductTest, UniversalProperty) {
   CqEvaluator eval1(one_edge);
   CqEvaluator eval2(two_path);
   // Both factors satisfy one_edge -> product does.
-  EXPECT_TRUE(eval1.Selects(product->db, product->tuple));
+  ASSERT_EQ(product->tuple.size(), 1u);
+  EXPECT_TRUE(eval1.SelectsEntity(product->db, product->tuple[0]));
   // Factor b fails two_path -> product fails it.
-  EXPECT_TRUE(eval2.Selects(a, {ea}));
-  EXPECT_FALSE(eval2.Selects(b, {eb}));
-  EXPECT_FALSE(eval2.Selects(product->db, product->tuple));
+  EXPECT_TRUE(eval2.SelectsEntity(a, ea));
+  EXPECT_FALSE(eval2.SelectsEntity(b, eb));
+  EXPECT_FALSE(eval2.SelectsEntity(product->db, product->tuple[0]));
 }
 
 TEST(ProductTest, FactBudgetGuard) {

@@ -160,8 +160,6 @@ TEST(FaultsTest, TimeoutInterruptsTheHomKernel) {
   Database to(schema);
   AddCycle(to, "c", 5);  // A 4-path maps into any cycle: uninterrupted kFound.
   ExecutionBudget budget;
-  HomOptions options;
-  options.budget = &budget;
   FaultSpec spec;
   spec.site = CoverageSite::kHomNode;
   spec.kind = FaultKind::kTimeout;
@@ -169,16 +167,14 @@ TEST(FaultsTest, TimeoutInterruptsTheHomKernel) {
   HomResult interrupted;
   {
     ScopedFault fault(spec, &budget);
-    interrupted = FindHomomorphism(from, to, {}, options);
+    interrupted = FindHomomorphism(from, to, {}, &budget);
   }
   EXPECT_EQ(interrupted.status, HomStatus::kExhausted);
   EXPECT_EQ(interrupted.outcome, BudgetOutcome::kTimedOut);
   // Resume: the disarmed rerun with a fresh budget completes and finds the
   // witness the interrupted run was denied.
   ExecutionBudget fresh;
-  HomOptions clean;
-  clean.budget = &fresh;
-  HomResult done = FindHomomorphism(from, to, {}, clean);
+  HomResult done = FindHomomorphism(from, to, {}, &fresh);
   EXPECT_EQ(done.status, HomStatus::kFound);
   EXPECT_EQ(done.outcome, BudgetOutcome::kCompleted);
 }
@@ -190,6 +186,7 @@ TEST(FaultsTest, BadAllocPropagatesThroughParallelFor) {
   spec.site = CoverageSite::kHomNode;
   spec.kind = FaultKind::kBadAlloc;
   spec.trigger_visit = 50;
+  WarmUnwinder(std::bad_alloc());
   ScopedFault fault(spec, nullptr);
   std::atomic<std::size_t> visited{0};
   EXPECT_THROW(ParallelFor(4, 100000,

@@ -121,7 +121,7 @@ TEST(HomomorphismTest, BudgetExhaustion) {
   AddCycle(b, "b", 6);
   AddCycle(b, "c", 4);
   ExecutionBudget budget = ExecutionBudget::WithStepLimit(1);
-  HomResult result = FindHomomorphism(a, b, {}, {.budget = &budget});
+  HomResult result = FindHomomorphism(a, b, {}, &budget);
   EXPECT_NE(result.status, HomStatus::kFound);
 }
 
@@ -138,13 +138,13 @@ TEST(HomomorphismTest, BudgetExhaustionMidSearch) {
   ASSERT_GT(full.nodes, 2u);
   const std::uint64_t limit = full.nodes / 2;
   ExecutionBudget truncating = ExecutionBudget::WithStepLimit(limit);
-  HomResult truncated = FindHomomorphism(a, b, {}, {.budget = &truncating});
+  HomResult truncated = FindHomomorphism(a, b, {}, &truncating);
   EXPECT_EQ(truncated.status, HomStatus::kExhausted);
   EXPECT_EQ(truncated.outcome, BudgetOutcome::kBudgetExhausted);
   EXPECT_LE(truncated.nodes, limit);
   // A budget past the full search's needs leaves the answer intact.
   ExecutionBudget ample = ExecutionBudget::WithStepLimit(full.nodes * 2 + 1);
-  HomResult answered = FindHomomorphism(a, b, {}, {.budget = &ample});
+  HomResult answered = FindHomomorphism(a, b, {}, &ample);
   EXPECT_EQ(answered.status, HomStatus::kNone);
   EXPECT_EQ(answered.nodes, full.nodes);
 }
@@ -156,7 +156,7 @@ TEST(HomomorphismTest, CancelledBudgetReportsExhausted) {
   AddCycle(b, "b", 4);
   ExecutionBudget budget;
   budget.Cancel();
-  HomResult result = FindHomomorphism(a, b, {}, {.budget = &budget});
+  HomResult result = FindHomomorphism(a, b, {}, &budget);
   EXPECT_EQ(result.status, HomStatus::kExhausted);
   EXPECT_EQ(result.outcome, BudgetOutcome::kCancelled);
   // No cross-call state: the same inputs decide fine on a fresh call.
@@ -170,7 +170,7 @@ TEST(HomomorphismTest, StepLimitReportsExhaustedNotAnAnswer) {
   AddCycle(b, "b", 6);
   AddCycle(b, "c", 4);
   ExecutionBudget budget = ExecutionBudget::WithStepLimit(3);
-  HomResult result = FindHomomorphism(a, b, {}, {.budget = &budget});
+  HomResult result = FindHomomorphism(a, b, {}, &budget);
   EXPECT_EQ(result.status, HomStatus::kExhausted);
   EXPECT_EQ(result.outcome, BudgetOutcome::kBudgetExhausted);
 }

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace featsep {
 namespace {
 
@@ -233,6 +235,7 @@ TEST(ParallelTest, ForExceptionCancelsSiblings) {
   // the abort flag honoured, visits stay far below n even though thousands
   // of items remain unclaimed at throw time.
   constexpr std::size_t kItems = 100000;
+  testing::WarmUnwinder(ItemError(0));
   std::atomic<std::size_t> visits{0};
   try {
     ParallelFor(4, kItems, [&](std::size_t i) {
@@ -282,6 +285,7 @@ TEST(ParallelTest, FindFirstRethrowsWorkerException) {
 
 TEST(ParallelTest, FindFirstExceptionCancelsSiblings) {
   constexpr std::size_t kItems = 100000;
+  testing::WarmUnwinder(ItemError(0));
   std::atomic<std::size_t> visits{0};
   EXPECT_THROW(ParallelFindFirst(4, kItems,
                                  [&](std::size_t i) -> bool {
@@ -359,6 +363,7 @@ TEST(ParallelTest, ExceptionSkipsRemainingItems) {
   // extra idle workers must not keep the throwing batch running.
   ParallelFor(16, 64, [](std::size_t) {});
   constexpr std::size_t kItems = 100000;
+  testing::WarmUnwinder(ItemError(0));
   std::atomic<std::size_t> visits{0};
   EXPECT_THROW(ParallelFor(4, kItems,
                            [&](std::size_t i) {

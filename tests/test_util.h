@@ -148,6 +148,19 @@ inline ExecutionBudget ExpiredBudget() {
   return ExecutionBudget::WithDeadline(ExecutionBudget::Clock::now());
 }
 
+/// Throws `error` and catches it on the calling thread. The first throw in
+/// a process pays the unwinder's one-time setup, which is slow in a
+/// sanitizer build. A test that bounds how many items a parallel batch
+/// runs after one of them throws calls this before the batch, so the
+/// throw it measures is not that slow first one.
+template <typename Error>
+void WarmUnwinder(const Error& error) {
+  try {
+    throw error;
+  } catch (const Error&) {
+  }
+}
+
 }  // namespace testing
 }  // namespace featsep
 

@@ -10,7 +10,9 @@
 //                 [--dispatchers N] [--shards N] [--deadline-ms D]
 //                 [--batch-frac F] [--seed S] [--cache-dir DIR]
 //                 [--require-warm-disk]
-// A deadline of 0 means unbounded requests (nothing expires).
+// A deadline of 0 means unbounded requests (nothing expires). Counts and
+// the deadline are whole decimal numbers and F lies in [0, 1]; anything
+// else exits 2 with the usage text.
 //
 // --cache-dir enables the persistent on-disk result tier (DESIGN.md §13):
 // run the tool twice with the same directory and seed and the second
@@ -21,6 +23,7 @@
 // smoke runs exactly that pair.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -43,6 +46,12 @@ void Usage(const char* argv0) {
                "       [--dispatchers N] [--shards N] [--deadline-ms D]\n"
                "       [--batch-frac F] [--seed S] [--cache-dir DIR]\n"
                "       [--require-warm-disk]\n";
+}
+
+[[noreturn]] void UsageError(const char* argv0, const std::string& message) {
+  std::cerr << message << "\n";
+  Usage(argv0);
+  std::exit(2);
 }
 
 double Percentile(std::vector<double> sorted, double p) {
@@ -74,36 +83,49 @@ int main(int argc, char** argv) {
     std::string_view arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        Usage(argv[0]);
-        std::exit(2);
+        UsageError(argv[0], "missing value for " + std::string(arg));
       }
       return argv[++i];
     };
+    std::string_view text;  // The value being parsed.
+    auto bad_value = [&] {
+      UsageError(argv[0], "bad value for " + std::string(arg) + ": '" +
+                              std::string(text) + "'");
+    };
+    // A whole decimal number: no trailing characters, no overflow, and no
+    // sign for the unsigned counts.
+    auto parse = [&](auto& value) {
+      text = next();
+      const char* end = text.data() + text.size();
+      auto [ptr, ec] = std::from_chars(text.data(), end, value);
+      if (ec != std::errc() || ptr != end) bad_value();
+    };
     if (arg == "--requests") {
-      requests = std::strtoull(next(), nullptr, 10);
+      parse(requests);
     } else if (arg == "--nodes") {
-      nodes = std::strtoull(next(), nullptr, 10);
+      parse(nodes);
     } else if (arg == "--m") {
-      m = std::strtoull(next(), nullptr, 10);
+      parse(m);
     } else if (arg == "--queue") {
-      options.queue_capacity = std::strtoull(next(), nullptr, 10);
+      parse(options.queue_capacity);
     } else if (arg == "--dispatchers") {
-      options.num_dispatchers = std::strtoull(next(), nullptr, 10);
+      parse(options.num_dispatchers);
     } else if (arg == "--shards") {
-      options.serve.num_shards = std::strtoull(next(), nullptr, 10);
+      parse(options.serve.num_shards);
     } else if (arg == "--deadline-ms") {
-      deadline_ms = std::strtoll(next(), nullptr, 10);
+      parse(deadline_ms);
+      if (deadline_ms < 0) bad_value();
     } else if (arg == "--batch-frac") {
-      batch_frac = std::strtod(next(), nullptr);
+      parse(batch_frac);
+      if (!(batch_frac >= 0.0 && batch_frac <= 1.0)) bad_value();
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      parse(seed);
     } else if (arg == "--cache-dir") {
       options.serve.cache_dir = next();
     } else if (arg == "--require-warm-disk") {
       require_warm_disk = true;
     } else {
-      Usage(argv[0]);
-      return 2;
+      UsageError(argv[0], "unknown argument: " + std::string(arg));
     }
   }
 
