@@ -1,7 +1,7 @@
 // Microbenchmarks for the SvoBitset word kernels (DESIGN.md §11): the
 // homomorphism engine's forward checking is dominated by AND / popcount /
 // scan passes over domain bitsets, so these isolate each primitive — and
-// the fused kernels that replaced two-pass sequences — at sizes on both
+// the fused probe that replaced a two-pass sequence — at sizes on both
 // sides of the inline↔heap boundary (kInlineBits = 256). Compare a
 // FEATSEP_NATIVE=ON build against the portable one to see what
 // -march=native vectorization buys on this machine.
@@ -52,7 +52,7 @@ void BM_BitsetPopcount(benchmark::State& state) {
 BENCHMARK(BM_BitsetPopcount)->Arg(64)->Arg(256)->Arg(1024)->Arg(8192);
 
 // The two-pass shape the kernel used before the fused ops: copy + AND, then
-// a separate popcount. Baseline for BM_BitsetAndCount / IntersectWithCount.
+// a separate popcount. Baseline for BM_BitsetAndCount.
 void BM_BitsetAndThenCount(benchmark::State& state) {
   std::size_t size = static_cast<std::size_t>(state.range(0));
   SvoBitset a = Pattern(size, 4);
@@ -79,40 +79,12 @@ void BM_BitsetAndCount(benchmark::State& state) {
 }
 BENCHMARK(BM_BitsetAndCount)->Arg(64)->Arg(256)->Arg(1024)->Arg(8192);
 
-// Fused in-place AND + popcount — the general path's candidate-set
-// narrowing with its early-exit count.
-void BM_BitsetIntersectWithCount(benchmark::State& state) {
-  std::size_t size = static_cast<std::size_t>(state.range(0));
-  SvoBitset a = Pattern(size, 6);
-  SvoBitset b = Pattern(size, 7);
-  for (auto _ : state) {
-    SvoBitset c = a;
-    benchmark::DoNotOptimize(c.intersect_with_count(b));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(size));
-}
-BENCHMARK(BM_BitsetIntersectWithCount)->Arg(64)->Arg(256)->Arg(1024)->Arg(8192);
-
-void BM_BitsetIntersects(benchmark::State& state) {
-  std::size_t size = static_cast<std::size_t>(state.range(0));
-  // Disjoint halves: the worst case (must scan everything to say no).
-  SvoBitset a(size);
-  SvoBitset b(size);
-  for (std::size_t i = 0; i < size / 2; ++i) a.set(i);
-  for (std::size_t i = size / 2; i < size; ++i) b.set(i);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.intersects(b));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(size));
-}
-BENCHMARK(BM_BitsetIntersects)->Arg(64)->Arg(256)->Arg(1024)->Arg(8192);
-
 void BM_BitsetFindNextSweep(benchmark::State& state) {
   std::size_t size = static_cast<std::size_t>(state.range(0));
   SvoBitset a = Pattern(size, 8);
   for (auto _ : state) {
     std::size_t sum = 0;
-    for (std::size_t bit = a.find_first(); bit != SvoBitset::kNoBit;
+    for (std::size_t bit = a.find_next(0); bit != SvoBitset::kNoBit;
          bit = a.find_next(bit + 1)) {
       sum += bit;
     }
@@ -121,18 +93,6 @@ void BM_BitsetFindNextSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(size));
 }
 BENCHMARK(BM_BitsetFindNextSweep)->Arg(64)->Arg(256)->Arg(1024)->Arg(8192);
-
-void BM_BitsetForEach(benchmark::State& state) {
-  std::size_t size = static_cast<std::size_t>(state.range(0));
-  SvoBitset a = Pattern(size, 9);
-  for (auto _ : state) {
-    std::size_t sum = 0;
-    a.for_each([&](std::size_t bit) { sum += bit; });
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(size));
-}
-BENCHMARK(BM_BitsetForEach)->Arg(64)->Arg(256)->Arg(1024)->Arg(8192);
 
 }  // namespace
 }  // namespace featsep::bench

@@ -13,6 +13,10 @@
 //       Algorithm 2: optimal GHW(k)-consistent relabeling.
 //   featsep_cli qbe <db-file> +<entity> ... -<entity> ...
 //       CQ query-by-example over the marked examples.
+//
+// <m> and <k> are plain decimal counts, and <k> is at least 1. A malformed
+// count, a missing or unknown command, or a wrong argument count exits 2
+// with the usage text before any file is read; other failures exit 1.
 
 #include <cstdio>
 #include <fstream>
@@ -26,6 +30,7 @@
 #include "io/reader.h"
 #include "io/writer.h"
 #include "qbe/qbe.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -40,9 +45,21 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
+constexpr char kUsage[] =
+    "usage: featsep_cli sep <training-file>\n"
+    "       featsep_cli train <training-file> <m> <model-file>\n"
+    "       featsep_cli classify <training-file> <model-file> <db-file>\n"
+    "       featsep_cli relabel <training-file> <k>\n"
+    "       featsep_cli qbe <db-file> +<entity> ... -<entity> ...\n";
+
 int Fail(const std::string& message) {
   std::fprintf(stderr, "featsep_cli: %s\n", message.c_str());
   return 1;
+}
+
+int UsageError(const std::string& message) {
+  std::fprintf(stderr, "featsep_cli: %s\n%s", message.c_str(), kUsage);
+  return 2;
 }
 
 int CmdSep(const std::string& path) {
@@ -74,7 +91,7 @@ int CmdSep(const std::string& path) {
   return 0;
 }
 
-int CmdTrain(const std::string& training_path, const std::string& m_text,
+int CmdTrain(const std::string& training_path, std::size_t m,
              const std::string& model_path) {
   std::string text;
   if (!ReadFile(training_path, &text)) {
@@ -82,11 +99,11 @@ int CmdTrain(const std::string& training_path, const std::string& m_text,
   }
   auto training = ReadTrainingDatabase(text);
   if (!training.ok()) return Fail(training.error().message());
-  std::size_t m = static_cast<std::size_t>(std::stoul(m_text));
 
   CqmSepResult result = DecideCqmSep(*training.value(), m);
   if (!result.separable) {
-    return Fail("training database is not CQ[" + m_text + "]-separable");
+    return Fail("training database is not CQ[" + std::to_string(m) +
+                "]-separable");
   }
   std::ofstream out(model_path);
   if (!out) return Fail("cannot write " + model_path);
@@ -126,12 +143,11 @@ int CmdClassify(const std::string& training_path,
   return 0;
 }
 
-int CmdRelabel(const std::string& path, const std::string& k_text) {
+int CmdRelabel(const std::string& path, std::size_t k) {
   std::string text;
   if (!ReadFile(path, &text)) return Fail("cannot read " + path);
   auto training = ReadTrainingDatabase(text);
   if (!training.ok()) return Fail(training.error().message());
-  std::size_t k = static_cast<std::size_t>(std::stoul(k_text));
 
   GhwRelabelResult result = GhwOptimalRelabel(*training.value(), k);
   std::printf("# optimal GHW(%zu)-consistent relabeling, disagreement %zu\n",
@@ -189,23 +205,28 @@ int CmdQbe(const std::string& path, const std::vector<std::string>& marks) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.empty()) {
-    return Fail("usage: featsep_cli sep|train|classify|relabel|qbe ... "
-                "(see source header)");
-  }
+  if (args.empty()) return UsageError("missing command");
   const std::string& command = args[0];
   if (command == "sep" && args.size() == 2) return CmdSep(args[1]);
   if (command == "train" && args.size() == 4) {
-    return CmdTrain(args[1], args[2], args[3]);
+    std::size_t m = 0;
+    if (!ParseWhole(args[2], &m)) {
+      return UsageError("bad value for <m>: '" + args[2] + "'");
+    }
+    return CmdTrain(args[1], m, args[3]);
   }
   if (command == "classify" && args.size() == 4) {
     return CmdClassify(args[1], args[2], args[3]);
   }
   if (command == "relabel" && args.size() == 3) {
-    return CmdRelabel(args[1], args[2]);
+    std::size_t k = 0;
+    if (!ParseWhole(args[2], &k) || k == 0) {  // GHW(k) needs k >= 1.
+      return UsageError("bad value for <k>: '" + args[2] + "'");
+    }
+    return CmdRelabel(args[1], k);
   }
   if (command == "qbe" && args.size() >= 3) {
     return CmdQbe(args[1], {args.begin() + 2, args.end()});
   }
-  return Fail("bad arguments for '" + command + "'");
+  return UsageError("bad arguments for '" + command + "'");
 }

@@ -24,9 +24,9 @@ namespace {
 /// and every domain is an SvoBitset over the 0..|dom(to)|-1 universe. All
 /// per-fact structure (variable indices per position, repeated-variable
 /// position pairs) and all per-(relation, position[, value]) target indexes
-/// (allowed-value bitsets, support bitsets, candidate counts, fact-index
-/// bitsets) are computed once per search and reused at every node, so the
-/// inner loops are word-wise bit operations.
+/// (allowed-value bitsets, support bitsets) are computed once per search
+/// and reused at every node, so the inner loops are word-wise bit
+/// operations.
 ///
 /// A HomSearch may Run many times (PreparedHomSearch): the first Run
 /// prepares the seed-independent state — variables, per-fact structure and
@@ -109,19 +109,6 @@ class HomSearch {
   /// of `relation` carrying `image` at `pos`. Built lazily, once per key.
   const std::vector<SvoBitset>& Support(RelationId relation, std::size_t pos,
                                         DomIndex image_index, Value image);
-  /// Fact-index bitset of (relation, pos, image): the facts of `relation`
-  /// (as dense per-relation indices) carrying `image` at `pos`. Built
-  /// lazily, once per key.
-  const SvoBitset& FactBits(RelationId relation, std::size_t pos,
-                            DomIndex image_index, Value image);
-  /// Fact-index bitset of the `relation` facts whose arguments at p1 and p2
-  /// are equal — the repeated-variable constraint as a word-wise AND.
-  const SvoBitset& EqBits(RelationId relation, std::uint32_t p1,
-                          std::uint32_t p2);
-  /// Dense-fact-index -> dom index of argument `pos`, per (relation, pos).
-  /// The support-accumulation table of the fact-bitset general path.
-  const std::vector<HomSearch::DomIndex>& ArgIndex(RelationId relation,
-                                                   std::size_t pos);
 
   void SaveDomain(VarIndex var);
   void UndoTo(std::size_t mark);
@@ -139,13 +126,6 @@ class HomSearch {
   std::vector<FactInfo> fact_info_;  // Indexed by FactIndex of from_.
   std::vector<std::uint32_t> degree_;  // Facts containing each variable.
   std::vector<std::uint32_t> relpos_base_;  // relation -> (rel, pos) id base.
-  // FactIndex of to_ -> dense index within its relation's FactsOf list (the
-  // fact-bitset universe of that relation). Built on the first FactBits
-  // call: the table costs O(|facts(to_)|), which would dwarf the rest of the
-  // per-call setup on searches that never leave the closed/single-assigned
-  // fast paths.
-  std::vector<std::uint32_t> fact_dense_id_;
-  bool fact_dense_valid_ = false;
 
   std::vector<SvoBitset> domains_;
   std::vector<std::uint32_t> domain_size_;  // Cached domain popcounts.
@@ -159,17 +139,8 @@ class HomSearch {
   // cached at setup so each probe is one hash find with no per-call
   // relation/pos navigation (and no O(|facts|) count-table builds).
   std::vector<const Database::PositionIndex*> pos_index_;
-  // Indexed by (rel, pos); allocated on first ArgIndex call (general path
-  // only), sized from relpos_total_.
-  std::vector<std::vector<DomIndex>> arg_index_;
-  std::vector<bool> arg_index_valid_;
-  std::uint32_t relpos_total_ = 0;  // Number of (rel, pos) slots.
   // (rel, pos) id << 32 | image index -> per-position support bitsets.
   std::unordered_map<std::uint64_t, std::vector<SvoBitset>> support_cache_;
-  // (rel, pos) id << 32 | image index -> fact-index bitset.
-  std::unordered_map<std::uint64_t, SvoBitset> fact_bits_;
-  // (rel, pos-pair) -> equal-argument fact-index bitset.
-  std::unordered_map<std::uint64_t, SvoBitset> eq_bits_;
 
   // Trail of saved (domain, popcount) snapshots; at most one per variable
   // per epoch (= Assign call), so undo cost tracks actual pruning.
@@ -182,10 +153,10 @@ class HomSearch {
   std::vector<std::uint64_t> saved_epoch_;  // Last epoch each var was saved.
   std::uint64_t epoch_ = 0;
 
-  // Scratch bitsets reused across CheckFact calls (general path).
+  // Per-position support accumulators reused across CheckFact calls
+  // (general path).
   std::vector<SvoBitset> scratch_;
-  SvoBitset fact_scratch_;  // Compatible-fact accumulator (general path).
-  Fact probe_;              // Reused tuple for all-assigned lookups.
+  Fact probe_;  // Reused tuple for all-assigned lookups.
 
   std::uint64_t nodes_ = 0;
 
@@ -308,7 +279,6 @@ void HomSearch::BuildStructures() {
       pos_index_[relpos_base_[r] + p] = &to_.PositionIndexOf(r, p);
     }
   }
-  relpos_total_ = base;  // arg_index_ tables allocate lazily off this.
 
   fact_info_.resize(from_.facts().size());
   for (FactIndex fi = 0; fi < from_.facts().size(); ++fi) {
@@ -371,63 +341,6 @@ const std::vector<SvoBitset>& HomSearch::Support(RelationId relation,
     }
   }
   return support_cache_.emplace(key, std::move(support)).first->second;
-}
-
-const SvoBitset& HomSearch::FactBits(RelationId relation, std::size_t pos,
-                                     DomIndex image_index, Value image) {
-  std::uint64_t key =
-      (static_cast<std::uint64_t>(RelPosId(relation, pos)) << 32) |
-      image_index;
-  auto it = fact_bits_.find(key);
-  if (it != fact_bits_.end()) return it->second;
-  if (!fact_dense_valid_) {
-    fact_dense_valid_ = true;
-    fact_dense_id_.resize(to_.facts().size());
-    for (RelationId r = 0; r < to_.schema().size(); ++r) {
-      const std::vector<FactIndex>& of = to_.FactsOf(r);
-      for (std::uint32_t j = 0; j < of.size(); ++j) fact_dense_id_[of[j]] = j;
-    }
-  }
-  SvoBitset bits(to_.FactsOf(relation).size());
-  for (FactIndex fi : to_.FactsWith(relation, pos, image)) {
-    bits.set(fact_dense_id_[fi]);
-  }
-  return fact_bits_.emplace(key, std::move(bits)).first->second;
-}
-
-const SvoBitset& HomSearch::EqBits(RelationId relation, std::uint32_t p1,
-                                   std::uint32_t p2) {
-  // Arity ≤ 2^12 keeps the packed key unambiguous (schemas are tiny).
-  std::uint64_t key = (static_cast<std::uint64_t>(relation) << 24) |
-                      (static_cast<std::uint64_t>(p1) << 12) | p2;
-  auto it = eq_bits_.find(key);
-  if (it != eq_bits_.end()) return it->second;
-  const std::vector<FactIndex>& of = to_.FactsOf(relation);
-  SvoBitset bits(of.size());
-  for (std::uint32_t j = 0; j < of.size(); ++j) {
-    const Fact& target = to_.fact(of[j]);
-    if (target.args[p1] == target.args[p2]) bits.set(j);
-  }
-  return eq_bits_.emplace(key, std::move(bits)).first->second;
-}
-
-const std::vector<HomSearch::DomIndex>& HomSearch::ArgIndex(
-    RelationId relation, std::size_t pos) {
-  std::uint32_t id = RelPosId(relation, pos);
-  if (arg_index_.empty()) {
-    arg_index_.resize(relpos_total_);
-    arg_index_valid_.assign(relpos_total_, false);
-  }
-  if (!arg_index_valid_[id]) {
-    const std::vector<FactIndex>& of = to_.FactsOf(relation);
-    std::vector<DomIndex> index(of.size());
-    for (std::uint32_t j = 0; j < of.size(); ++j) {
-      index[j] = (*to_index_)[to_.fact(of[j]).args[pos]];
-    }
-    arg_index_[id] = std::move(index);
-    arg_index_valid_[id] = true;
-  }
-  return arg_index_[id];
 }
 
 bool HomSearch::ApplyUnaryConstraints() {
@@ -604,58 +517,43 @@ bool HomSearch::CheckFact(FactIndex fact_index) {
 
   // General path: several assigned positions or repeated variables. A
   // target fact must agree with *all* assigned positions simultaneously
-  // (pairwise support is not enough at arity ≥ 3). Intersect the
-  // per-(relation, pos, image) fact-index bitsets — plus the equal-argument
-  // bitsets for repeated source variables — so the compatible-candidate set
-  // falls out of a few word-wise ANDs instead of a scalar scan over the
-  // pivot's candidate list.
+  // (pairwise support is not enough at arity ≥ 3), so scan the pivot's
+  // candidate facts once: a fact is compatible when it carries every
+  // assigned image and agrees on every repeated-variable pair, and the
+  // compatible facts' arguments are the supports of the unassigned
+  // positions. No fact of arity ≤ 2 reaches this path (a binary fact with
+  // one assigned position and a repeated variable is already closed).
   FEATSEP_COVERAGE(kHomGeneralCheck);
-  const std::vector<FactIndex>& rel_facts = to_.FactsOf(fact.relation);
-  const std::size_t nfacts = rel_facts.size();
-  if (nfacts == 0 ||
-      (pivot != static_cast<std::size_t>(-1) && pivot_size == 0)) {
-    FEATSEP_COVERAGE(kHomDeadFact);
-    return false;
-  }
-
-  std::size_t live;
-  if (pivot != static_cast<std::size_t>(-1)) {
-    VarIndex pivot_var = info.vars[pivot];
-    fact_scratch_ = FactBits(fact.relation, pivot, assigned_index_[pivot_var],
-                             assigned_value_[pivot_var]);
-    live = pivot_size;
-  } else {
-    if (fact_scratch_.size() != nfacts) fact_scratch_ = SvoBitset(nfacts);
-    fact_scratch_.set_all();
-    live = nfacts;
-  }
-  for (std::size_t pos = 0; pos < arity && live != 0; ++pos) {
-    if (pos == pivot) continue;
-    VarIndex var = info.vars[pos];
-    if (assigned_value_[var] == kNoValue) continue;
-    live = fact_scratch_.intersect_with_count(
-        FactBits(fact.relation, pos, assigned_index_[var],
-                 assigned_value_[var]));
-  }
-  for (const auto& [p1, p2] : info.rep_pairs) {
-    if (live == 0) break;
-    live = fact_scratch_.intersect_with_count(EqBits(fact.relation, p1, p2));
-  }
-  if (live == 0) {
-    FEATSEP_COVERAGE(kHomDeadFact);
-    return false;
-  }
-
-  // Accumulate per-position supports of the compatible facts, then prune
-  // the domains of this fact's unassigned variables.
   if (scratch_.size() < arity) scratch_.resize(arity);
   for (std::size_t pos = 0; pos < arity; ++pos) {
     if (assigned_value_[info.vars[pos]] != kNoValue) continue;
     if (scratch_[pos].size() != ndom_) scratch_[pos] = SvoBitset(ndom_);
     scratch_[pos].reset_all();
-    const std::vector<DomIndex>& args = ArgIndex(fact.relation, pos);
-    fact_scratch_.for_each(
-        [&](std::size_t dense) { scratch_[pos].set(args[dense]); });
+  }
+  auto compatible = [&](const std::vector<Value>& args) {
+    for (std::size_t pos = 0; pos < arity; ++pos) {
+      Value image = assigned_value_[info.vars[pos]];
+      if (image != kNoValue && args[pos] != image) return false;
+    }
+    for (const auto& [p1, p2] : info.rep_pairs) {
+      if (args[p1] != args[p2]) return false;
+    }
+    return true;
+  };
+  bool live = false;
+  for (FactIndex fi : to_.FactsWith(fact.relation, pivot,
+                                    assigned_value_[info.vars[pivot]])) {
+    const std::vector<Value>& args = to_.fact(fi).args;
+    if (!compatible(args)) continue;
+    live = true;
+    for (std::size_t pos = 0; pos < arity; ++pos) {
+      if (assigned_value_[info.vars[pos]] != kNoValue) continue;
+      scratch_[pos].set((*to_index_)[args[pos]]);
+    }
+  }
+  if (!live) {
+    FEATSEP_COVERAGE(kHomDeadFact);
+    return false;
   }
   for (std::size_t pos = 0; pos < arity; ++pos) {
     VarIndex var = info.vars[pos];

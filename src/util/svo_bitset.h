@@ -13,7 +13,7 @@ namespace svo_internal {
 /// Word-level kernels shared by the SvoBitset operations. Each is a single
 /// pass, manually unrolled four words wide with independent accumulators so
 /// the compiler can keep the popcount reductions in separate registers and,
-/// under -march=native (FEATSEP_NATIVE), vectorize the AND/OR/AND-NOT loops.
+/// under -march=native (FEATSEP_NATIVE), vectorize the AND loop.
 /// The hot callers (the homomorphism kernel's forward checking) spend most
 /// of their time here, so these never branch per word beyond the loop test.
 
@@ -60,77 +60,6 @@ inline void AndWords(std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
   for (; i < n; ++i) a[i] &= b[i];
 }
 
-/// a &= b fused with popcount of the result.
-inline std::size_t AndWordsCount(std::uint64_t* a, const std::uint64_t* b,
-                                 std::size_t n) {
-  std::size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a[i] &= b[i];
-    a[i + 1] &= b[i + 1];
-    a[i + 2] &= b[i + 2];
-    a[i + 3] &= b[i + 3];
-    c0 += static_cast<std::size_t>(__builtin_popcountll(a[i]));
-    c1 += static_cast<std::size_t>(__builtin_popcountll(a[i + 1]));
-    c2 += static_cast<std::size_t>(__builtin_popcountll(a[i + 2]));
-    c3 += static_cast<std::size_t>(__builtin_popcountll(a[i + 3]));
-  }
-  for (; i < n; ++i) {
-    a[i] &= b[i];
-    c0 += static_cast<std::size_t>(__builtin_popcountll(a[i]));
-  }
-  return c0 + c1 + c2 + c3;
-}
-
-inline void AndNotWords(std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a[i] &= ~b[i];
-    a[i + 1] &= ~b[i + 1];
-    a[i + 2] &= ~b[i + 2];
-    a[i + 3] &= ~b[i + 3];
-  }
-  for (; i < n; ++i) a[i] &= ~b[i];
-}
-
-inline void OrWords(std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a[i] |= b[i];
-    a[i + 1] |= b[i + 1];
-    a[i + 2] |= b[i + 2];
-    a[i + 3] |= b[i + 3];
-  }
-  for (; i < n; ++i) a[i] |= b[i];
-}
-
-inline bool IntersectsWords(const std::uint64_t* a, const std::uint64_t* b,
-                            std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // One branch per four words: OR the pairwise ANDs before testing.
-    std::uint64_t any = (a[i] & b[i]) | (a[i + 1] & b[i + 1]) |
-                        (a[i + 2] & b[i + 2]) | (a[i + 3] & b[i + 3]);
-    if (any != 0) return true;
-  }
-  for (; i < n; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
-}
-
-inline bool AnyWords(const std::uint64_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if ((a[i] | a[i + 1] | a[i + 2] | a[i + 3]) != 0) return true;
-  }
-  for (; i < n; ++i) {
-    if (a[i] != 0) return true;
-  }
-  return false;
-}
-
 }  // namespace svo_internal
 
 /// A fixed-size dynamic bitset with small-vector optimization: bitsets of up
@@ -143,13 +72,13 @@ inline bool AnyWords(const std::uint64_t* a, std::size_t n) {
 ///
 /// The bit universe size is fixed at construction; all binary operations
 /// require operands of equal size. Bits beyond `size()` are never set, so
-/// `count()`/`find_first()` need no masking.
+/// `count()`/`find_next()` need no masking.
 class SvoBitset {
  public:
   static constexpr std::size_t kBitsPerWord = 64;
   static constexpr std::size_t kInlineWords = 4;
   static constexpr std::size_t kInlineBits = kInlineWords * kBitsPerWord;
-  /// Sentinel returned by find_first/find_next when no bit is set.
+  /// Sentinel returned by find_next when no bit is set.
   static constexpr std::size_t kNoBit = static_cast<std::size_t>(-1);
 
   /// An empty bitset over a universe of zero bits.
@@ -220,25 +149,10 @@ class SvoBitset {
     words()[bit / kBitsPerWord] |= std::uint64_t{1} << (bit % kBitsPerWord);
   }
 
-  void reset(std::size_t bit) {
-    FEATSEP_CHECK_LT(bit, bits_);
-    words()[bit / kBitsPerWord] &= ~(std::uint64_t{1} << (bit % kBitsPerWord));
-  }
-
   bool test(std::size_t bit) const {
     FEATSEP_CHECK_LT(bit, bits_);
     return (words()[bit / kBitsPerWord] >>
             (bit % kBitsPerWord)) & std::uint64_t{1};
-  }
-
-  /// Sets every bit of the universe.
-  void set_all() {
-    if (bits_ == 0) return;
-    std::memset(words(), 0xff, num_words() * sizeof(std::uint64_t));
-    std::size_t tail = bits_ % kBitsPerWord;
-    if (tail != 0) {
-      words()[num_words() - 1] = (std::uint64_t{1} << tail) - 1;
-    }
   }
 
   void reset_all() {
@@ -251,25 +165,6 @@ class SvoBitset {
     svo_internal::AndWords(words(), other.words(), num_words());
   }
 
-  /// Fused in-place intersection + popcount of the result: one pass instead
-  /// of an intersect_with followed by count().
-  std::size_t intersect_with_count(const SvoBitset& other) {
-    FEATSEP_CHECK_EQ(bits_, other.bits_);
-    return svo_internal::AndWordsCount(words(), other.words(), num_words());
-  }
-
-  /// In-place union; `other` must have the same universe size.
-  void union_with(const SvoBitset& other) {
-    FEATSEP_CHECK_EQ(bits_, other.bits_);
-    svo_internal::OrWords(words(), other.words(), num_words());
-  }
-
-  /// In-place difference (this &= ~other); same universe size required.
-  void and_not_with(const SvoBitset& other) {
-    FEATSEP_CHECK_EQ(bits_, other.bits_);
-    svo_internal::AndNotWords(words(), other.words(), num_words());
-  }
-
   /// popcount(this & other) without writing or materializing a temporary —
   /// the forward-checking "would this mask shrink the domain?" probe.
   std::size_t and_count(const SvoBitset& other) const {
@@ -277,31 +172,9 @@ class SvoBitset {
     return svo_internal::AndCountWords(words(), other.words(), num_words());
   }
 
-  /// True if the intersection with `other` is nonempty (no temporary).
-  bool intersects(const SvoBitset& other) const {
-    FEATSEP_CHECK_EQ(bits_, other.bits_);
-    return svo_internal::IntersectsWords(words(), other.words(), num_words());
-  }
-
-  bool empty() const {
-    return !svo_internal::AnyWords(words(), num_words());
-  }
-
   /// Number of set bits.
   std::size_t count() const {
     return svo_internal::PopcountWords(words(), num_words());
-  }
-
-  /// Index of the lowest set bit, or kNoBit if none.
-  std::size_t find_first() const {
-    const std::uint64_t* w = words();
-    for (std::size_t i = 0; i < num_words(); ++i) {
-      if (w[i] != 0) {
-        return i * kBitsPerWord +
-               static_cast<std::size_t>(__builtin_ctzll(w[i]));
-      }
-    }
-    return kNoBit;
   }
 
   /// Index of the lowest set bit at position >= `from`, or kNoBit if none.
@@ -323,30 +196,17 @@ class SvoBitset {
     return kNoBit;
   }
 
-  /// Calls `fn(bit)` for every set bit in increasing order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    const std::uint64_t* w = words();
-    for (std::size_t i = 0; i < num_words(); ++i) {
-      std::uint64_t word = w[i];
-      while (word != 0) {
-        std::size_t bit = static_cast<std::size_t>(__builtin_ctzll(word));
-        fn(i * kBitsPerWord + bit);
-        word &= word - 1;
-      }
+ private:
+  /// Sets every bit of the universe.
+  void set_all() {
+    if (bits_ == 0) return;
+    std::memset(words(), 0xff, num_words() * sizeof(std::uint64_t));
+    std::size_t tail = bits_ % kBitsPerWord;
+    if (tail != 0) {
+      words()[num_words() - 1] = (std::uint64_t{1} << tail) - 1;
     }
   }
 
-  friend bool operator==(const SvoBitset& a, const SvoBitset& b) {
-    if (a.bits_ != b.bits_) return false;
-    return std::memcmp(a.words(), b.words(),
-                       a.num_words() * sizeof(std::uint64_t)) == 0;
-  }
-  friend bool operator!=(const SvoBitset& a, const SvoBitset& b) {
-    return !(a == b);
-  }
-
- private:
   std::size_t num_words() const {
     return (bits_ + kBitsPerWord - 1) / kBitsPerWord;
   }

@@ -264,6 +264,47 @@ TEST(HomomorphismTest, RepeatedVariablesInTernaryFact) {
   EXPECT_TRUE(HomomorphismExists(diag_source, diag));
 }
 
+// The two cases below pin forward checking's exact pruning through the node
+// count: a fact with several assigned positions (or a repeated variable)
+// keeps only the images that some single compatible target fact carries.
+// Per-position supports would leave a wrong image in the domain, ahead of
+// the right one, and the search would spend a node on it.
+
+TEST(HomomorphismTest, TwoAssignedPositionsPruneToOneTargetFact) {
+  // The target of TernaryFactNeedsOneTargetFactForAllPositions, with c
+  // interned before c1 so it is tried first if it survives pruning.
+  auto schema = TernarySchema();
+  Database source(schema);
+  source.AddFact("R", {"x", "y", "z"});
+  Database target(schema);
+  target.AddFact("R", {"a1", "b", "c"});
+  target.AddFact("R", {"a", "b1", "c"});
+  target.AddFact("R", {"a", "b", "c1"});
+  Value x = source.FindValue("x");
+  Value y = source.FindValue("y");
+  HomResult result = FindHomomorphism(
+      source, target, {{x, target.FindValue("a")}, {y, target.FindValue("b")}});
+  ASSERT_EQ(result.status, HomStatus::kFound);
+  EXPECT_EQ(result.mapping[source.FindValue("z")], target.FindValue("c1"));
+  EXPECT_EQ(result.nodes, 1u);  // Only c1 survives; c would cost a node.
+}
+
+TEST(HomomorphismTest, RepeatedVariablePrunesToDiagonalTargetFacts) {
+  auto schema = TernarySchema();
+  Database source(schema);
+  source.AddFact("R", {"x", "y", "y"});
+  Database target(schema);
+  target.AddFact("R", {"a", "b", "c"});
+  target.AddFact("R", {"a", "c", "b"});
+  target.AddFact("R", {"a", "d", "d"});
+  Value x = source.FindValue("x");
+  HomResult result =
+      FindHomomorphism(source, target, {{x, target.FindValue("a")}});
+  ASSERT_EQ(result.status, HomStatus::kFound);
+  EXPECT_EQ(result.mapping[source.FindValue("y")], target.FindValue("d"));
+  EXPECT_EQ(result.nodes, 1u);  // Only d survives; b and c would cost two.
+}
+
 TEST(HomomorphismTest, HomEquivalentEntities) {
   Database db(GraphSchema());
   auto e1 = testing::AddEntity(db, "e1");

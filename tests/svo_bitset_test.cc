@@ -15,23 +15,34 @@ const std::size_t kBoundarySizes[] = {
     SvoBitset::kInlineBits - 1, SvoBitset::kInlineBits,
     SvoBitset::kInlineBits + 1, 1000};
 
+// Equal universes and equal bits, compared one bit at a time.
+::testing::AssertionResult SameBits(const SvoBitset& a, const SvoBitset& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "universe " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.test(i) != b.test(i)) {
+      return ::testing::AssertionFailure() << "bit " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(SvoBitsetTest, SetTestResetAcrossBoundaries) {
   for (std::size_t size : kBoundarySizes) {
     SvoBitset bits(size);
     EXPECT_EQ(bits.size(), size);
     EXPECT_EQ(bits.count(), 0u);
-    EXPECT_TRUE(bits.empty());
     for (std::size_t i = 0; i < size; ++i) {
       EXPECT_FALSE(bits.test(i));
       bits.set(i);
       EXPECT_TRUE(bits.test(i));
     }
     EXPECT_EQ(bits.count(), size);
-    for (std::size_t i = 0; i < size; ++i) {
-      bits.reset(i);
-      EXPECT_FALSE(bits.test(i));
-    }
-    EXPECT_TRUE(bits.empty());
+    bits.reset_all();
+    for (std::size_t i = 0; i < size; ++i) EXPECT_FALSE(bits.test(i));
+    EXPECT_EQ(bits.count(), 0u);
   }
 }
 
@@ -39,18 +50,17 @@ TEST(SvoBitsetTest, FilledConstructionMasksTailBits) {
   for (std::size_t size : kBoundarySizes) {
     SvoBitset bits(size, true);
     EXPECT_EQ(bits.count(), size);
-    EXPECT_EQ(bits.find_first(), size == 0 ? SvoBitset::kNoBit : 0u);
+    EXPECT_EQ(bits.find_next(0), size == 0 ? SvoBitset::kNoBit : 0u);
   }
 }
 
 TEST(SvoBitsetTest, FindFirstAndNext) {
   SvoBitset bits(300);
-  EXPECT_EQ(bits.find_first(), SvoBitset::kNoBit);
+  EXPECT_EQ(bits.find_next(0), SvoBitset::kNoBit);
   bits.set(7);
   bits.set(64);
   bits.set(255);
   bits.set(299);
-  EXPECT_EQ(bits.find_first(), 7u);
   EXPECT_EQ(bits.find_next(0), 7u);
   EXPECT_EQ(bits.find_next(7), 7u);
   EXPECT_EQ(bits.find_next(8), 64u);
@@ -59,43 +69,18 @@ TEST(SvoBitsetTest, FindFirstAndNext) {
   EXPECT_EQ(bits.find_next(300), SvoBitset::kNoBit);
 }
 
-TEST(SvoBitsetTest, ForEachVisitsSetBitsInOrder) {
-  for (std::size_t size : {100ul, 1000ul}) {
-    SvoBitset bits(size);
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 3; i < size; i += 37) {
-      bits.set(i);
-      expected.push_back(i);
-    }
-    std::vector<std::size_t> seen;
-    bits.for_each([&](std::size_t bit) { seen.push_back(bit); });
-    EXPECT_EQ(seen, expected);
-  }
-}
-
 TEST(SvoBitsetTest, IntersectUnionIntersects) {
   for (std::size_t size : {60ul, 500ul}) {
     SvoBitset a(size);
     SvoBitset b(size);
     for (std::size_t i = 0; i < size; i += 2) a.set(i);
     for (std::size_t i = 0; i < size; i += 3) b.set(i);
-    EXPECT_TRUE(a.intersects(b));  // Multiples of 6.
 
     SvoBitset both = a;
     both.intersect_with(b);
     for (std::size_t i = 0; i < size; ++i) {
       EXPECT_EQ(both.test(i), i % 6 == 0) << i;
     }
-
-    SvoBitset either = a;
-    either.union_with(b);
-    for (std::size_t i = 0; i < size; ++i) {
-      EXPECT_EQ(either.test(i), i % 2 == 0 || i % 3 == 0) << i;
-    }
-
-    SvoBitset odd(size);
-    for (std::size_t i = 1; i < size; i += 2) odd.set(i);
-    EXPECT_FALSE(a.intersects(odd));
   }
 }
 
@@ -107,23 +92,22 @@ TEST(SvoBitsetTest, CopyAndMoveAcrossInlineHeapBoundary) {
     original.set(size - 1);
 
     SvoBitset copy(original);
-    EXPECT_EQ(copy, original);
-    copy.reset(5);
-    EXPECT_NE(copy, original);          // Deep copy, no sharing.
-    EXPECT_TRUE(original.test(5));
+    EXPECT_TRUE(SameBits(copy, original));
+    copy.set(6);
+    EXPECT_FALSE(original.test(6));  // Deep copy, no sharing.
 
     SvoBitset moved(std::move(copy));
-    EXPECT_FALSE(moved.test(5));
+    EXPECT_TRUE(moved.test(6));
     EXPECT_TRUE(moved.test(size - 1));
 
     // Cross-size assignments reallocate/shrink correctly.
     SvoBitset small(8);
     small.set(3);
     small = original;
-    EXPECT_EQ(small, original);
+    EXPECT_TRUE(SameBits(small, original));
     SvoBitset big(2000, true);
     big = original;
-    EXPECT_EQ(big, original);
+    EXPECT_TRUE(SameBits(big, original));
 
     SvoBitset target(17);
     target = std::move(moved);
@@ -133,12 +117,11 @@ TEST(SvoBitsetTest, CopyAndMoveAcrossInlineHeapBoundary) {
 }
 
 TEST(SvoBitsetTest, SetAllResetAll) {
-  SvoBitset bits(70);
-  bits.set_all();
+  SvoBitset bits(70, true);
   EXPECT_EQ(bits.count(), 70u);
   bits.reset_all();
-  EXPECT_TRUE(bits.empty());
   EXPECT_EQ(bits.count(), 0u);
+  EXPECT_EQ(bits.find_next(0), SvoBitset::kNoBit);
 }
 
 TEST(SvoBitsetTest, IntersectWithEmptyAtExactInlineBoundary) {
@@ -153,26 +136,15 @@ TEST(SvoBitsetTest, IntersectWithEmptyAtExactInlineBoundary) {
     SvoBitset empty(bits);
     ASSERT_EQ(full.count(), bits);
     full.intersect_with(empty);
-    EXPECT_TRUE(full.empty()) << "universe " << bits;
     EXPECT_EQ(full.count(), 0u) << "universe " << bits;
-    EXPECT_EQ(full.find_first(), SvoBitset::kNoBit) << "universe " << bits;
-    EXPECT_FALSE(full.intersects(empty)) << "universe " << bits;
+    EXPECT_EQ(full.find_next(0), SvoBitset::kNoBit) << "universe " << bits;
+    EXPECT_EQ(full.and_count(empty), 0u) << "universe " << bits;
     // And the reverse orientation: empty stays empty.
     SvoBitset full2(bits, true);
     SvoBitset empty2(bits);
     empty2.intersect_with(full2);
-    EXPECT_TRUE(empty2.empty()) << "universe " << bits;
+    EXPECT_EQ(empty2.count(), 0u) << "universe " << bits;
   }
-}
-
-TEST(SvoBitsetTest, EqualityRequiresSameUniverse) {
-  SvoBitset a(10);
-  SvoBitset b(11);
-  EXPECT_NE(a, b);
-  SvoBitset c(10);
-  EXPECT_EQ(a, c);
-  c.set(9);
-  EXPECT_NE(a, c);
 }
 
 // Deterministic pseudo-random pattern: bit i of a set iff the mixed hash of
@@ -198,41 +170,8 @@ TEST(SvoBitsetTest, AndCountMatchesScalarAcrossBoundaries) {
     }
     EXPECT_EQ(a.and_count(b), expected) << "universe " << size;
     // The read-only probe must not modify either operand.
-    EXPECT_EQ(a, PatternBitset(size, 1));
-    EXPECT_EQ(b, PatternBitset(size, 2));
-    EXPECT_EQ(a.intersects(b), expected != 0);
-  }
-}
-
-TEST(SvoBitsetTest, IntersectWithCountFusesAndAndPopcount) {
-  for (std::size_t size : kBoundarySizes) {
-    SvoBitset a = PatternBitset(size, 3);
-    SvoBitset b = PatternBitset(size, 4);
-    SvoBitset reference = a;
-    reference.intersect_with(b);
-    std::size_t count = a.intersect_with_count(b);
-    EXPECT_EQ(a, reference) << "universe " << size;
-    EXPECT_EQ(count, reference.count()) << "universe " << size;
-  }
-}
-
-TEST(SvoBitsetTest, AndNotWithMatchesScalarAcrossBoundaries) {
-  for (std::size_t size : kBoundarySizes) {
-    SvoBitset a = PatternBitset(size, 5);
-    SvoBitset b = PatternBitset(size, 6);
-    SvoBitset result = a;
-    result.and_not_with(b);
-    for (std::size_t i = 0; i < size; ++i) {
-      EXPECT_EQ(result.test(i), a.test(i) && !b.test(i))
-          << "universe " << size << " bit " << i;
-    }
-    // a \ a is empty; a \ empty is a.
-    SvoBitset self = a;
-    self.and_not_with(a);
-    EXPECT_TRUE(self.empty());
-    SvoBitset minus_empty = a;
-    minus_empty.and_not_with(SvoBitset(size));
-    EXPECT_EQ(minus_empty, a);
+    EXPECT_TRUE(SameBits(a, PatternBitset(size, 1)));
+    EXPECT_TRUE(SameBits(b, PatternBitset(size, 2)));
   }
 }
 
@@ -244,11 +183,10 @@ TEST(SvoBitsetTest, FusedKernelsAgreeOnDisjointAndIdenticalSets) {
     for (std::size_t i = 0; i < size; i += 2) evens.set(i);
     for (std::size_t i = 1; i < size; i += 2) odds.set(i);
     EXPECT_EQ(evens.and_count(odds), 0u);
-    EXPECT_FALSE(evens.intersects(odds));
     EXPECT_EQ(evens.and_count(evens), evens.count());
     SvoBitset copy = evens;
-    EXPECT_EQ(copy.intersect_with_count(odds), 0u);
-    EXPECT_TRUE(copy.empty());
+    copy.intersect_with(odds);
+    EXPECT_EQ(copy.count(), 0u);
   }
 }
 

@@ -82,5 +82,22 @@ TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("x", ""));
 }
 
+TEST(StringsTest, ParseWholeTakesOnlyACompleteNumber) {
+  std::size_t count = 7;
+  EXPECT_TRUE(ParseWhole("42", &count));
+  EXPECT_EQ(count, 42u);
+  for (const char* bad : {"", "x", "1x", " 1", "+1", "-1",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ParseWhole(bad, &count)) << "'" << bad << "'";
+  }
+  long long signed_value = 0;
+  EXPECT_TRUE(ParseWhole("-5", &signed_value));
+  EXPECT_EQ(signed_value, -5);
+  double fraction = 0;
+  EXPECT_TRUE(ParseWhole("0.25", &fraction));
+  EXPECT_EQ(fraction, 0.25);
+  EXPECT_FALSE(ParseWhole("0.25s", &fraction));
+}
+
 }  // namespace
 }  // namespace featsep

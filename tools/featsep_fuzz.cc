@@ -21,7 +21,6 @@
 // checks; its row of the config table (src/testing/instance.cc) defines it.
 // N and S are decimal counts; anything else exits 2 with the usage text.
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -29,6 +28,7 @@
 #include <string_view>
 
 #include "testing/fuzz.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -67,9 +67,7 @@ int main(int argc, char** argv) {
     auto count = [&]() -> std::uint64_t {
       std::string_view text = next();
       std::uint64_t value = 0;
-      const char* end = text.data() + text.size();
-      auto [ptr, ec] = std::from_chars(text.data(), end, value);
-      if (ec == std::errc() && ptr == end) return value;
+      if (featsep::ParseWhole(text, &value)) return value;
       UsageError(argv[0],
                  "bad value for " + arg + ": '" + std::string(text) + "'");
     };

@@ -23,7 +23,6 @@
 // smoke runs exactly that pair.
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -36,6 +35,7 @@
 #include "cq/enumeration.h"
 #include "relational/training_database.h"
 #include "serve/async_service.h"
+#include "util/strings.h"
 #include "workload/generators.h"
 
 namespace {
@@ -96,9 +96,7 @@ int main(int argc, char** argv) {
     // sign for the unsigned counts.
     auto parse = [&](auto& value) {
       text = next();
-      const char* end = text.data() + text.size();
-      auto [ptr, ec] = std::from_chars(text.data(), end, value);
-      if (ec != std::errc() || ptr != end) bad_value();
+      if (!featsep::ParseWhole(text, &value)) bad_value();
     };
     if (arg == "--requests") {
       parse(requests);
