@@ -7,6 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "core/statistic.h"
+#include "cq/enumeration.h"
 #include "linsep/min_error.h"
 #include "linsep/perceptron.h"
 #include "linsep/separability_lp.h"
@@ -40,6 +42,39 @@ void BM_LpSeparability(benchmark::State& state) {
   state.counters["separable"] = separable ? 1 : 0;
 }
 BENCHMARK(BM_LpSeparability)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+// The random 4-dimensional rows above nearly always put one vector under
+// both labels. A CQ[2]-SEP fit instead solves the CQ[2] matrix of its
+// training database: here that of a 16-entity planted graph over 1600
+// background nodes and 2400 edges (perfbench's fit-cold item), seeded by
+// the argument. Its 16 rows and 51 columns are mostly repeated rows and
+// constant or identical columns.
+void BM_LpSeparabilityCq2Matrix(benchmark::State& state) {
+  RandomGraphParams params;
+  params.num_entities = 16;
+  params.num_background_nodes = 1600;
+  params.num_background_edges = 2400;
+  params.planted_path_length = 2;
+  params.seed = static_cast<std::uint64_t>(state.range(0));
+  auto training = RandomPlantedGraph(params);
+  TrainingCollection collection = MakeTrainingCollection(
+      Statistic(EnumerateFeatureQueries(training->database().schema_ptr(), 2)),
+      *training);
+  bool separable = false;
+  for (auto _ : state) {
+    separable = FindSeparator(collection).has_value();
+    benchmark::DoNotOptimize(separable);
+  }
+  state.counters["rows"] = static_cast<double>(collection.size());
+  state.counters["columns"] =
+      static_cast<double>(collection.front().first.size());
+  state.counters["separable"] = separable ? 1 : 0;
+}
+BENCHMARK(BM_LpSeparabilityCq2Matrix)
+    ->Arg(1001)
+    ->Arg(1002)
+    ->Arg(1003)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MinErrorExact(benchmark::State& state) {
   auto collection =

@@ -18,6 +18,9 @@ Label LinearClassifier::Classify(const FeatureVector& features) const {
   for (std::size_t i = 0; i < features.size(); ++i) {
     FEATSEP_CHECK(features[i] == 1 || features[i] == -1)
         << "feature entries must be +1/-1";
+    // Most weights of a presolved separator are 0, and exact rational
+    // addition is not free even then.
+    if (weights_[i].is_zero()) continue;
     if (features[i] == 1) {
       sum += weights_[i];
     } else {

@@ -23,7 +23,11 @@ using TrainingCollection = std::vector<std::pair<FeatureVector, Label>>;
 ///   Σⱼ wⱼ·bᵢⱼ − w₀ ≤ −1   for yᵢ = −1
 /// is feasible — the strict "< w₀" branch of the classifier is rescaled to
 /// margin −1 by homogeneity in (w̄, w₀). Solved exactly by the rational
-/// simplex with free variables split into nonnegative pairs.
+/// simplex with free variables split into nonnegative pairs, over the
+/// distinct rows and the distinct non-constant columns only: a vector
+/// carrying both labels is "not separable" without a pivot, and the
+/// returned classifier has full arity, weight 0 on every constant column
+/// and on all but the first of each group of identical columns.
 std::optional<LinearClassifier> FindSeparator(
     const TrainingCollection& examples);
 
@@ -37,7 +41,8 @@ struct SeparatorSearch {
 
 /// Budgeted FindSeparator: `budget` (nullptr = unbounded) is charged one
 /// step per simplex pivot; an interrupted solve reports the budget outcome
-/// and no classifier.
+/// and no classifier. A vector carrying both labels is answered before the
+/// simplex, so that verdict is definitive whatever the budget.
 SeparatorSearch TryFindSeparator(const TrainingCollection& examples,
                                  ExecutionBudget* budget);
 

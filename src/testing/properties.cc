@@ -721,6 +721,44 @@ PropertyCheck CheckSepDimProperties(const TrainingDatabase& training,
   return std::nullopt;
 }
 
+namespace {
+
+/// The separability LP of separability_lp.h over every example and every
+/// column, without the presolve, solved by SolveLp: the unreduced system
+/// FindSeparator's presolve stands in for.
+std::optional<LinearClassifier> SolveUnreducedSeparabilityLp(
+    const TrainingCollection& examples) {
+  std::size_t n = examples.empty() ? 0 : examples[0].first.size();
+  // Variables wp_0..wp_n, wn_0..wn_n ≥ 0 with w_j = wp_j − wn_j; w_0 is
+  // the threshold.
+  LpProblem problem;
+  problem.c.assign(2 * (n + 1), Rational(0));
+  for (const auto& [features, label] : examples) {
+    // +1: w₀ − Σⱼ wⱼ·bⱼ ≤ 0.  −1: Σⱼ wⱼ·bⱼ − w₀ ≤ −1.
+    int sign = label == kPositive ? -1 : 1;
+    std::vector<Rational> row(2 * (n + 1), Rational(0));
+    for (std::size_t j = 0; j < n; ++j) {
+      row[j + 1] = Rational(sign * features[j]);
+      row[n + 2 + j] = Rational(-sign * features[j]);
+    }
+    row[0] = Rational(-sign);
+    row[n + 1] = Rational(sign);
+    problem.a.push_back(std::move(row));
+    problem.b.push_back(label == kPositive ? Rational(0) : Rational(-1));
+  }
+  LpSolution solution = SolveLp(problem);
+  if (solution.status == LpStatus::kInfeasible) return std::nullopt;
+  FEATSEP_CHECK(solution.status == LpStatus::kOptimal);
+  std::vector<Rational> weights;
+  for (std::size_t j = 1; j <= n; ++j) {
+    weights.push_back(solution.x[j] - solution.x[n + 1 + j]);
+  }
+  return LinearClassifier(solution.x[0] - solution.x[n + 1],
+                          std::move(weights));
+}
+
+}  // namespace
+
 PropertyCheck CheckLinsepProperties(
     const std::vector<std::pair<FeatureVector, Label>>& examples,
     const LpProblem& lp) {
@@ -735,6 +773,49 @@ PropertyCheck CheckLinsepProperties(
 
   bool ref_separable = RefIsLinearlySeparable(examples);
   std::optional<LinearClassifier> separator = FindSeparator(examples);
+  std::optional<LinearClassifier> full =
+      SolveUnreducedSeparabilityLp(examples);
+  if (separator.has_value() != full.has_value()) {
+    return Violation("linsep/presolve-vs-full",
+                     std::string("the presolved LP says ") +
+                         (separator.has_value() ? "separable" :
+                                                  "inseparable") +
+                         ", the unreduced LP the opposite (Fourier-Motzkin: " +
+                         (ref_separable ? "separable" : "inseparable") +
+                         ")\n" + describe_examples());
+  }
+  if (full.has_value() && full->CountErrors(examples) != 0) {
+    return Violation("linsep/presolve-vs-full",
+                     "the unreduced LP's classifier misclassifies a "
+                     "training example\n" + describe_examples());
+  }
+  if (separator.has_value() && !examples.empty() &&
+      separator->arity() != examples[0].first.size()) {
+    return Violation("linsep/presolve-vs-full",
+                     "the presolved classifier is not of full arity\n" +
+                         describe_examples());
+  }
+  bool both_labels = false;
+  for (const auto& [features, label] : examples) {
+    for (const auto& [other, other_label] : examples) {
+      both_labels = both_labels || (features == other && label != other_label);
+    }
+  }
+  if (both_labels) {
+    // The presolve decides such a collection before the simplex, so a
+    // cancelled budget, which allows no pivot, still gets the answer.
+    ExecutionBudget cancelled;
+    cancelled.Cancel();
+    SeparatorSearch search = TryFindSeparator(examples, &cancelled);
+    if (search.outcome != BudgetOutcome::kCompleted ||
+        search.classifier.has_value()) {
+      return Violation("linsep/presolve-vs-full",
+                       "a vector carries both labels, yet the search under "
+                       "a cancelled budget is not a definitive \"not "
+                       "separable\"\n" + describe_examples());
+    }
+  }
+  // Fourier-Motzkin judges both verdicts, which agree by now.
   if (separator.has_value() != ref_separable) {
     return Violation("linsep/separable-vs-fm",
                      std::string("FindSeparator says ") +

@@ -129,6 +129,11 @@ PropertyCheck CheckSepDimProperties(const TrainingDatabase& training,
 /// (reference_lp.h):
 ///   - FindSeparator/IsLinearlySeparable agree with RefIsLinearlySeparable
 ///     on `examples`, and a returned classifier commits zero errors;
+///   - presolve-vs-full: FindSeparator (which presolves to the distinct
+///     rows and columns) agrees with SolveLp on the unreduced separability
+///     LP over every example, both classifiers commit zero errors, the
+///     presolved one has full arity, and a collection in which one vector
+///     carries both labels is decided under a cancelled budget;
 ///   - SolveLp agrees with RefSolveLpValue on `lp` in status and (when
 ///     optimal) objective, and the returned point is feasible and attains
 ///     the objective.

@@ -192,6 +192,7 @@ TEST(FaultsTest, BadAllocPropagatesThroughParallelFor) {
   EXPECT_THROW(ParallelFor(4, 100000,
                            [&](std::size_t) {
                              visited.fetch_add(1, std::memory_order_relaxed);
+                             SlowItem();
                              VisitHomNode();
                            }),
                std::bad_alloc);

@@ -1,11 +1,17 @@
 #include <random>
+#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/separability.h"
+#include "core/statistic.h"
+#include "cq/enumeration.h"
 #include "linsep/linear_classifier.h"
 #include "linsep/min_error.h"
 #include "linsep/perceptron.h"
 #include "linsep/separability_lp.h"
+#include "workload/generators.h"
 
 namespace featsep {
 namespace {
@@ -76,6 +82,82 @@ TEST(SeparabilityLpTest, SingleFeatureDictatorship) {
   auto clf = FindSeparator(examples);
   ASSERT_TRUE(clf.has_value());
   EXPECT_EQ(clf->CountErrors(examples), 0u);
+}
+
+TEST(SeparabilityLpTest, BothLabelsOnOneVectorNeedsNoPivot) {
+  // The presolve answers before the simplex, so even a cancelled budget,
+  // which allows no pivot, gets the definitive verdict.
+  TrainingCollection examples = {
+      {{1, -1, 1}, kPositive},
+      {{-1, -1, 1}, kNegative},
+      {{1, -1, 1}, kNegative},
+  };
+  ExecutionBudget cancelled;
+  cancelled.Cancel();
+  SeparatorSearch search = TryFindSeparator(examples, &cancelled);
+  EXPECT_EQ(search.outcome, BudgetOutcome::kCompleted);
+  EXPECT_FALSE(search.classifier.has_value());
+}
+
+TEST(SeparabilityLpTest, DuplicateAndConstantColumnsKeepFullArity) {
+  // Column 2 is constant and columns 1 and 3 are identical. Solved
+  // unreduced, the simplex put weight 1/2 on the constant column.
+  TrainingCollection examples = {
+      {{-1, 1, 1, 1, -1}, kPositive},
+      {{-1, -1, 1, -1, 1}, kPositive},
+      {{-1, 1, 1, 1, 1}, kNegative},
+      {{1, 1, 1, 1, 1}, kPositive},
+  };
+  std::optional<LinearClassifier> clf = FindSeparator(examples);
+  ASSERT_TRUE(clf.has_value());
+  ASSERT_EQ(clf->arity(), 5u);
+  EXPECT_EQ(clf->CountErrors(examples), 0u);
+  EXPECT_TRUE(clf->weights()[2].is_zero());
+  EXPECT_TRUE(clf->weights()[1].is_zero() || clf->weights()[3].is_zero());
+}
+
+TEST(SeparabilityLpTest, CqmModelKeepsAtMostTheDistinctColumns) {
+  // A CQ[2] matrix has many constant and identical columns. The model
+  // keeps at most one feature per distinct non-constant column.
+  RandomGraphParams params;
+  params.num_entities = 8;
+  params.num_background_nodes = 6;
+  params.num_background_edges = 9;
+  params.seed = 3;
+  auto training = RandomPlantedGraph(params);
+  auto column_of = [&](const Statistic& statistic, std::size_t j) {
+    std::vector<int> column;
+    for (const FeatureVector& row :
+         statistic.Matrix(training->database())) {
+      column.push_back(row[j]);
+    }
+    return column;
+  };
+  auto is_constant = [](const std::vector<int>& column) {
+    return std::set<int>(column.begin(), column.end()).size() == 1;
+  };
+  Statistic all(EnumerateFeatureQueries(training->database().schema_ptr(), 2));
+  std::set<std::vector<int>> distinct_columns;
+  for (std::size_t j = 0; j < all.dimension(); ++j) {
+    std::vector<int> column = column_of(all, j);
+    if (!is_constant(column)) distinct_columns.insert(std::move(column));
+  }
+  ASSERT_LT(distinct_columns.size(), all.dimension());
+
+  CqmSepResult result = DecideCqmSep(*training, 2);
+  ASSERT_TRUE(result.separable);
+  ASSERT_TRUE(result.model.has_value());
+  EXPECT_EQ(result.features_enumerated, all.dimension());
+  const Statistic& kept = result.model->statistic;
+  EXPECT_LE(kept.dimension(), distinct_columns.size());
+  std::set<std::vector<int>> kept_columns;
+  for (std::size_t j = 0; j < kept.dimension(); ++j) {
+    std::vector<int> column = column_of(kept, j);
+    EXPECT_FALSE(is_constant(column)) << "feature " << j;
+    EXPECT_TRUE(kept_columns.insert(std::move(column)).second)
+        << "feature " << j;
+  }
+  EXPECT_EQ(result.model->TrainingErrors(*training), 0u);
 }
 
 // Property test: for random small collections, LP separability agrees with

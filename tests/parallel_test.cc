@@ -240,6 +240,7 @@ TEST(ParallelTest, ForExceptionCancelsSiblings) {
   try {
     ParallelFor(4, kItems, [&](std::size_t i) {
       visits.fetch_add(1, std::memory_order_relaxed);
+      testing::SlowItem();
       if (i == 0) throw ItemError(i);
     });
     FAIL() << "expected ItemError";
@@ -291,6 +292,7 @@ TEST(ParallelTest, FindFirstExceptionCancelsSiblings) {
                                  [&](std::size_t i) -> bool {
                                    visits.fetch_add(1,
                                                     std::memory_order_relaxed);
+                                   testing::SlowItem();
                                    if (i == 0) throw ItemError(i);
                                    return false;
                                  }),
@@ -368,6 +370,7 @@ TEST(ParallelTest, ExceptionSkipsRemainingItems) {
   EXPECT_THROW(ParallelFor(4, kItems,
                            [&](std::size_t i) {
                              visits.fetch_add(1, std::memory_order_relaxed);
+                             testing::SlowItem();
                              if (i == 0) throw ItemError(i);
                            }),
                ItemError);

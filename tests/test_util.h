@@ -1,6 +1,7 @@
 #ifndef FEATSEP_TESTS_TEST_UTIL_H_
 #define FEATSEP_TESTS_TEST_UTIL_H_
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -146,6 +147,19 @@ inline TrainingDatabase SmallTraining() {
 /// A budget whose deadline already passed when the procedure starts.
 inline ExecutionBudget ExpiredBudget() {
   return ExecutionBudget::WithDeadline(ExecutionBudget::Clock::now());
+}
+
+/// Busy-waits about 2 µs: the work of one item in a test that bounds how
+/// many items of a parallel batch run after one of them throws. With items
+/// this slow the bound tests the batch's abort flag, not the scheduler:
+/// three siblings need about 33 ms to run half of a 100,000-item batch,
+/// longer than a loaded `ctest -j` keeps the throwing thread preempted,
+/// while items of one fetch-add ran the whole batch in one time slice.
+inline void SlowItem() {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(2);
+  while (std::chrono::steady_clock::now() < until) {
+  }
 }
 
 /// Throws `error` and catches it on the calling thread. The first throw in
