@@ -170,22 +170,32 @@ GhwRelabelResult GhwOptimalRelabel(const TrainingDatabase& training,
   return result;
 }
 
-bool DecideGhwApxSep(const TrainingDatabase& training, std::size_t k,
-                     double epsilon) {
+namespace {
+
+/// Algorithm 2's test: the optimal relabeling changes at most ε·|entities|
+/// labels.
+bool WithinErrorBudget(const GhwRelabelResult& relabel,
+                       const TrainingDatabase& training, double epsilon) {
   FEATSEP_CHECK_GE(epsilon, 0.0);
   FEATSEP_CHECK_LT(epsilon, 1.0);
-  GhwRelabelResult relabel = GhwOptimalRelabel(training, k);
   double budget =
       epsilon * static_cast<double>(training.Entities().size());
   return static_cast<double>(relabel.disagreement) <= budget;
+}
+
+}  // namespace
+
+bool DecideGhwApxSep(const TrainingDatabase& training, std::size_t k,
+                     double epsilon) {
+  return WithinErrorBudget(GhwOptimalRelabel(training, k), training, epsilon);
 }
 
 std::optional<Labeling> GhwApxClassify(
     std::shared_ptr<const TrainingDatabase> training, std::size_t k,
     double epsilon, const Database& eval) {
   FEATSEP_CHECK(training != nullptr);
-  if (!DecideGhwApxSep(*training, k, epsilon)) return std::nullopt;
   GhwRelabelResult relabel = GhwOptimalRelabel(*training, k);
+  if (!WithinErrorBudget(relabel, *training, epsilon)) return std::nullopt;
 
   // Train on (D, λ'): λ' is GHW(k)-separable by construction (Thm 7.4).
   // Copy preserves value ids, so the labels transfer directly.

@@ -63,7 +63,7 @@ enum class CoverageSite : std::uint16_t {
   kCoverMap,             ///< A candidate strategy map was recorded.
   kCoverBaseReject,      ///< Pebble map non-functional or pure-ā fact broken.
   kCoverPositionDead,    ///< A position lost all live strategies.
-  kCoverFixpointRound,   ///< One greatest-fixpoint sweep over all positions.
+  kCoverFixpointRound,   ///< One worklist step: a shrunk position propagated.
   kCoverStrategyDeleted, ///< The fixpoint deleted ≥1 strategy of a position.
   kCoverWin,             ///< Decide returned true.
   kCoverLose,            ///< Decide returned false (post-filter).

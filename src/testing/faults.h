@@ -88,7 +88,7 @@ void OnFaultPoint(CoverageSite site);
 /// Fault probe: a no-op unless a fault is armed. Placed beside the
 /// FEATSEP_COVERAGE probe of the same site at the budget-relevant kernel
 /// events (hom nodes/backtracks, GHW subproblems, cover-game fixpoint
-/// rounds, simplex pivots).
+/// steps, simplex pivots).
 #define FEATSEP_FAULT_POINT(site)                                     \
   do {                                                                \
     if (::featsep::testing::faults_internal::g_fault_armed.load(      \

@@ -573,9 +573,9 @@ PropertyCheck CheckSep(const FuzzInstance& instance) {
 }
 
 void GenerateFaults(WorkloadRng& rng, FuzzInstance* instance) {
-  // Sites are the FEATSEP_FAULT_POINT carriers; the hom and simplex sites
-  // are the ones the sep drivers actually visit — the others exercise the
-  // armed-but-never-fired path.
+  // Sites are the FEATSEP_FAULT_POINT carriers. The hom and simplex sites
+  // are visited by the sep drivers and the cover-game site by the budgeted
+  // cover-game leg; the GHW site exercises the armed-but-never-fired path.
   GenerateTraining(rng, instance);
   constexpr CoverageSite kFaultSites[] = {
       CoverageSite::kHomNode,           CoverageSite::kHomNode,

@@ -34,6 +34,7 @@
 #include "serve/incremental.h"
 #include "serve/shard_protocol.h"
 #include "workload/generators.h"
+#include "testing/reference_covergame.h"
 #include "testing/reference_ghw.h"
 #include "testing/reference_hom.h"
 #include "testing/reference_lp.h"
@@ -535,9 +536,70 @@ PropertyCheck CheckQbeProperties(const Database& db,
   return std::nullopt;
 }
 
+namespace {
+
+/// Every TryDecide answer of the production solver, for one- and two-pebble
+/// tuples over the first values of each side, and every CoverPreorder cell
+/// over `from`, equals the reference solver's, at k = 1 and 2.
+PropertyCheck CheckCoverGameAgainstReference(const Database& from,
+                                             const Database& to) {
+  std::vector<Value> a_values = from.domain();
+  if (a_values.size() > 3) a_values.resize(3);
+  std::vector<Value> b_values = to.domain();
+  if (b_values.size() > 3) b_values.resize(3);
+  std::vector<std::vector<Value>> a_tuples;
+  std::vector<std::vector<Value>> b_tuples;
+  for (Value a : a_values) {
+    a_tuples.push_back({a});
+    for (Value a2 : a_values) a_tuples.push_back({a, a2});
+  }
+  for (Value b : b_values) {
+    b_tuples.push_back({b});
+    for (Value b2 : b_values) b_tuples.push_back({b, b2});
+  }
+  auto names = [](const Database& db, const std::vector<Value>& tuple) {
+    std::string out;
+    for (Value v : tuple) out += (out.empty() ? "" : ",") + db.value_name(v);
+    return out;
+  };
+  for (std::size_t k = 1; k <= 2; ++k) {
+    CoverGameSolver solver(from, to, k);
+    RefCoverGameSolver reference(from, to, k);
+    for (const std::vector<Value>& a : a_tuples) {
+      for (const std::vector<Value>& b : b_tuples) {
+        if (a.size() != b.size()) continue;
+        Budgeted<bool> wins = solver.TryDecide(a, b);
+        if (!wins.ok() || wins.value != reference.Decide(a, b)) {
+          std::ostringstream out;
+          out << "pebbles (" << names(from, a) << ") -> (" << names(to, b)
+              << ") at k=" << k << ": solver says "
+              << (wins.ok() ? (wins.value ? "win" : "lose")
+                            : BudgetOutcomeName(wins.outcome))
+              << ", reference disagrees\n" << DescribeHomPair(from, to);
+          return Violation("covergame/vs-reference", out.str());
+        }
+      }
+    }
+    std::vector<Value> elements = from.domain();
+    if (elements.size() > 4) elements.resize(4);
+    if (CoverPreorder(from, elements, k) !=
+        RefCoverPreorder(from, elements, k)) {
+      return Violation("covergame/vs-reference",
+                       "CoverPreorder differs from the reference at k=" +
+                           std::to_string(k) + "\n" + WriteDatabase(from));
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 PropertyCheck CheckCoverGameProperties(const Database& from,
                                        const Database& to, std::size_t k) {
   FEATSEP_CHECK_GE(k, 1u);
+  if (PropertyCheck violation = CheckCoverGameAgainstReference(from, to)) {
+    return violation;
+  }
   auto describe = [&](Value a, Value b) {
     std::ostringstream out;
     out << "pebbles " << from.value_name(a) << " -> " << to.value_name(b)
@@ -1143,6 +1205,90 @@ PropertyCheck CheckFaultInjectionProperties(const TrainingDatabase& training,
                 << ") is marked valid but wrong\n" << describe();
             return Violation("faults/matrix-invalid-cell", out.str());
           }
+        }
+      }
+    }
+  }
+
+  // --- Budgeted cover game over the entity pairs --------------------------
+  // One budgeted solver plays (D, e) →_1 (D, e') for every ordered entity
+  // pair. A run the fault interrupted reports !ok(); a completed run equals
+  // the unbudgeted answer; a fired fault other than a cancel never leaves a
+  // run completed; a disarmed rerun matches the unbudgeted answers.
+  {
+    std::vector<Value> entities = db.Entities();
+    std::vector<bool> truth;
+    {
+      CoverGameSolver solver(db, db, 1);
+      for (Value a : entities) {
+        for (Value b : entities) truth.push_back(solver.Decide({a}, {b}));
+      }
+    }
+    // Each run with whether the budget had tripped, and whether the fault
+    // had fired, by the time it returned.
+    struct ArmedRun {
+      Budgeted<bool> result;
+      bool tripped;
+      bool fired;
+    };
+    ExecutionBudget budget;
+    bool bad_alloc = false;
+    std::vector<ArmedRun> armed;
+    {
+      ScopedFault fault(spec, &budget);
+      try {
+        CoverGameSolver solver(db, db, 1, &budget);
+        for (Value a : entities) {
+          for (Value b : entities) {
+            Budgeted<bool> result = solver.TryDecide({a}, {b});
+            armed.push_back(
+                {result, budget.Interrupted(), FaultFireCount() != 0});
+          }
+        }
+      } catch (const std::bad_alloc&) {
+        bad_alloc = true;
+      }
+    }
+    if (bad_alloc && kind != FaultKind::kBadAlloc) {
+      return Violation("faults/cover-spurious-bad-alloc",
+                       "std::bad_alloc escaped without a bad-alloc fault\n" +
+                           describe());
+    }
+    for (std::size_t i = 0; i < armed.size(); ++i) {
+      const Budgeted<bool>& result = armed[i].result;
+      if (!result.ok()) {
+        if (result.outcome != ExpectedFaultOutcome(kind)) {
+          std::ostringstream out;
+          out << "interrupted outcome " << BudgetOutcomeName(result.outcome)
+              << " does not match the injected fault\n" << describe();
+          return Violation("faults/cover-outcome-kind", out.str());
+        }
+        continue;
+      }
+      if (armed[i].tripped) {
+        return Violation("faults/cover-interrupted-ok",
+                         "a cover game reported ok() though the budget "
+                         "tripped\n" + describe());
+      }
+      if (kind != FaultKind::kCancel && armed[i].fired) {
+        return Violation("faults/cover-fired-but-completed",
+                         "fault fired yet a cover game completed\n" +
+                             describe());
+      }
+      if (result.value != truth[i]) {
+        return Violation("faults/cover-completed-mismatch",
+                         "completed faulted cover game differs from the "
+                         "unbudgeted answer\n" + describe());
+      }
+    }
+    CoverGameSolver rerun(db, db, 1);
+    std::size_t i = 0;
+    for (Value a : entities) {
+      for (Value b : entities) {
+        if (rerun.Decide({a}, {b}) != truth[i++]) {
+          return Violation("faults/cover-resume",
+                           "disarmed cover-game rerun differs from the "
+                           "unbudgeted answer\n" + describe());
         }
       }
     }

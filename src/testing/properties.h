@@ -110,7 +110,10 @@ PropertyCheck CheckQbeProperties(const Database& db,
 ///     homomorphism (checked only when |from| ≤ 3 — the position set is
 ///     exponential in k);
 ///   - CoverPreorder reflexivity, transitivity, and agreement with
-///     per-pair CoverGameWins calls.
+///     per-pair CoverGameWins calls;
+///   - at k = 1 and 2, every TryDecide answer for one- and two-pebble
+///     tuples, and every CoverPreorder cell, equals the unoptimized
+///     reference solver's (reference_covergame.h).
 PropertyCheck CheckCoverGameProperties(const Database& from,
                                        const Database& to, std::size_t k);
 
@@ -155,7 +158,12 @@ PropertyCheck CheckLinsepProperties(
 ///     re-running through the same service, disarmed, matches the serial
 ///     truth, and no cache entry was added for an aborted evaluation;
 ///   - every cell an interrupted Statistic::TryMatrix marks valid equals
-///     the uninterrupted Matrix truth.
+///     the uninterrupted Matrix truth;
+///   - a budgeted CoverGameSolver at k = 1 over every ordered entity pair
+///     reports !ok() with the injected outcome once interrupted, equals
+///     the unbudgeted answer when it completes (never after a fired
+///     non-cancel fault), and a disarmed rerun matches the unbudgeted
+///     answers.
 PropertyCheck CheckFaultInjectionProperties(const TrainingDatabase& training,
                                             CoverageSite site, FaultKind kind,
                                             std::uint64_t trigger_visit);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ghw_separability.h"
 #include "core/separability.h"
+#include "relational/database_ops.h"
 #include "test_util.h"
 
 namespace featsep {
@@ -114,6 +116,46 @@ TEST(Prop71ReductionTest, EpsilonZeroAddsNothing) {
   auto training = SeparableDataset();
   auto reduced = ReduceSepToApxSep(*training, 0.0);
   EXPECT_EQ(reduced->Entities().size(), training->Entities().size());
+}
+
+// GhwApxClassify (Corollary 7.5) answers exactly as DecideGhwApxSep, then
+// training on the optimal relabeling and classifying, do when run one after
+// the other — pinned on both instances above, at several error budgets.
+TEST(GhwApxClassifyTest, MatchesDecideRelabelTrainClassify) {
+  for (auto training : {SeparableDataset(), NoisyDataset()}) {
+    const Database& db = training->database();
+    for (double epsilon : {0.0, 0.1, 0.2, 0.49}) {
+      std::optional<Labeling> labeling =
+          GhwApxClassify(training, 1, epsilon, db);
+      ASSERT_EQ(labeling.has_value(), DecideGhwApxSep(*training, 1, epsilon))
+          << "epsilon=" << epsilon;
+      if (!labeling.has_value()) continue;
+      GhwRelabelResult relabel = GhwOptimalRelabel(*training, 1);
+      auto relabeled = std::make_shared<TrainingDatabase>(
+          std::make_shared<Database>(Copy(db)));
+      for (Value e : training->Entities()) {
+        relabeled->SetLabel(e, relabel.relabeled.Get(e));
+      }
+      std::optional<GhwClassifier> classifier =
+          GhwClassifier::Train(relabeled, 1);
+      ASSERT_TRUE(classifier.has_value());
+      Labeling expected = classifier->Classify(db);
+      for (Value e : db.Entities()) {
+        EXPECT_EQ(labeling->Get(e), expected.Get(e))
+            << db.value_name(e) << " epsilon=" << epsilon;
+      }
+    }
+  }
+  // The twins t1 (+) and t2 (-) are one class; its tie goes positive.
+  auto noisy = NoisyDataset();
+  const Database& db = noisy->database();
+  EXPECT_FALSE(GhwApxClassify(noisy, 1, 0.1, db).has_value());
+  std::optional<Labeling> labeling = GhwApxClassify(noisy, 1, 0.2, db);
+  ASSERT_TRUE(labeling.has_value());
+  EXPECT_EQ(labeling->Get(db.FindValue("t1")), kPositive);
+  EXPECT_EQ(labeling->Get(db.FindValue("t2")), kPositive);
+  EXPECT_EQ(labeling->Get(db.FindValue("r0")), kPositive);
+  EXPECT_EQ(labeling->Get(db.FindValue("s0")), kNegative);
 }
 
 }  // namespace

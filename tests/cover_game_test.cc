@@ -6,6 +6,8 @@
 
 #include "cq/homomorphism.h"
 #include "test_util.h"
+#include "testing/reference_covergame.h"
+#include "util/budget.h"
 
 namespace featsep {
 namespace {
@@ -14,6 +16,7 @@ using ::featsep::testing::AddCycle;
 using ::featsep::testing::AddEntity;
 using ::featsep::testing::AddPath;
 using ::featsep::testing::GraphSchema;
+using ::featsep::testing::RefCoverGameSolver;
 using ::featsep::testing::UnarySchema;
 
 TEST(CoverGameTest, ReflexivityOnEntities) {
@@ -195,6 +198,83 @@ TEST(CoverGameTest, SolverStatisticsExposed) {
   CoverGameSolver solver(db, db, 2);
   EXPECT_GT(solver.num_positions(), 4u);
   EXPECT_GT(solver.num_candidate_strategies(), 0u);
+}
+
+// Every step limit from 1 up to one past the unbudgeted run's steps either
+// interrupts the game (!ok) or yields the unbudgeted answer — for a won and
+// a lost game, so that a trip inside the fixpoint cannot pass for either.
+// Without pebbles C6 →_1 C4 and C6 →_1 C3 both hold; pebbling a C6 node
+// decides each only after propagating around the cycle, inside TryDecide:
+// C4 runs out of room (4 ∤ 6), C3 closes up (3 | 6).
+TEST(CoverGameTest, StepLimitSweepNeverMisreportsAnAnswer) {
+  Database c6(GraphSchema());
+  auto a = AddCycle(c6, "a", 6);
+  Database c4(GraphSchema());
+  auto b = AddCycle(c4, "b", 4);
+  Database c3(GraphSchema());
+  auto c = AddCycle(c3, "c", 3);
+  struct Game {
+    const Database* from;
+    Value a;
+    const Database* to;
+    Value b;
+    bool wins;
+  };
+  for (const Game& game : {Game{&c6, a[0], &c3, c[0], true},
+                           Game{&c6, a[0], &c4, b[0], false}}) {
+    ExecutionBudget unlimited;
+    {
+      CoverGameSolver solver(*game.from, *game.to, 1, &unlimited);
+      Budgeted<bool> result = solver.TryDecide({game.a}, {game.b});
+      ASSERT_TRUE(result.ok());
+      ASSERT_EQ(result.value, game.wins);
+    }
+    std::uint64_t steps = unlimited.steps();
+    std::size_t interrupted_in_decide = 0;
+    for (std::uint64_t limit = 1; limit <= steps + 1; ++limit) {
+      ExecutionBudget budget = ExecutionBudget::WithStepLimit(limit);
+      CoverGameSolver solver(*game.from, *game.to, 1, &budget);
+      bool constructed = !budget.Interrupted();
+      Budgeted<bool> result = solver.TryDecide({game.a}, {game.b});
+      if (result.ok()) {
+        EXPECT_EQ(result.value, game.wins) << "step limit " << limit;
+        EXPECT_GE(limit, steps) << "completed under a smaller budget";
+      } else {
+        EXPECT_EQ(result.outcome, BudgetOutcome::kBudgetExhausted);
+        if (constructed) ++interrupted_in_decide;
+      }
+    }
+    EXPECT_GT(interrupted_in_decide, 0u) << "no limit tripped inside TryDecide";
+  }
+}
+
+// Hubs wider than one element over a target with more than 90 values number
+// their tuples through the key table instead of base-N digits; the answers
+// must not change.
+TEST(CoverGameTest, WideHubsOverLargeTargetsMatchReference) {
+  Database from(GraphSchema());
+  auto path = AddPath(from, "a", 3);
+  Database to(GraphSchema());
+  auto cycle = AddCycle(to, "t", 95);
+  RelationId edge = to.schema().FindRelation("E");
+  for (std::size_t i = 0; i < cycle.size(); i += 5) {
+    to.AddFact(edge, {cycle[i], cycle[(i * 7 + 3) % cycle.size()]});
+  }
+  for (std::size_t k = 1; k <= 2; ++k) {
+    CoverGameSolver solver(from, to, k);
+    RefCoverGameSolver reference(from, to, k);
+    for (Value a : {path[0], path[2]}) {
+      for (std::size_t j = 0; j < cycle.size(); j += 19) {
+        EXPECT_EQ(solver.Decide({a}, {cycle[j]}),
+                  reference.Decide({a}, {cycle[j]}))
+            << "k=" << k << " b=" << j;
+        EXPECT_EQ(solver.Decide({path[0], path[1]}, {cycle[j], cycle[j + 1]}),
+                  reference.Decide({path[0], path[1]},
+                                   {cycle[j], cycle[j + 1]}))
+            << "k=" << k << " b=" << j;
+      }
+    }
+  }
 }
 
 }  // namespace
