@@ -3,13 +3,21 @@
 // polynomial O(|D|^k) per entity for GHW(k) queries, while the generic
 // backtracking engine is worst-case exponential. Series sweep the database
 // size for an acyclic (width-1) query and a cyclic (width-2) query.
+// BM_CqBankMatrix times the cold CQ[2] feature matrix of a CQ[2]-SEP fit.
+
+#include <optional>
+#include <thread>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "core/statistic.h"
 #include "cq/decomposed_evaluation.h"
+#include "cq/enumeration.h"
 #include "cq/evaluation.h"
 #include "io/cq_parser.h"
+#include "serve/eval_service.h"
 #include "workload/generators.h"
 
 namespace featsep {
@@ -79,6 +87,48 @@ void BM_DecomposedCyclic(benchmark::State& state) {
   state.counters["width"] = static_cast<double>(evaluator->width());
 }
 BENCHMARK(BM_DecomposedCyclic)->Arg(16)->Arg(32)->Arg(64);
+
+// The CQ[2] bank (51 features) evaluated on every entity of a 16-entity
+// planted graph over 1600 background nodes and 2400 edges (perfbench's
+// fit-cold item), seeded by the first argument. The second argument picks
+// the path: 0 = serial Statistic::Matrix, 1 = EvalService with one shard,
+// 2 = EvalService with one shard per CPU. The service caches nothing, and
+// each iteration evaluates a fresh copy of the database, made and dropped
+// outside the timed region, so no search finds its target's caches warm.
+void BM_CqBankMatrix(benchmark::State& state) {
+  RandomGraphParams params;
+  params.num_entities = 16;
+  params.num_background_nodes = 1600;
+  params.num_background_edges = 2400;
+  params.planted_path_length = 2;
+  params.seed = static_cast<std::uint64_t>(state.range(0));
+  auto training = RandomPlantedGraph(params);
+  const std::vector<ConjunctiveQuery> bank =
+      EnumerateFeatureQueries(training->database().schema_ptr(), 2);
+  const Statistic statistic(bank);
+  const bool serial = state.range(1) == 0;
+  serve::ServeOptions options;
+  options.num_shards =
+      state.range(1) == 2 ? std::thread::hardware_concurrency() : 1;
+  options.cache_capacity = 0;
+  serve::EvalService service(options);
+  std::optional<Database> db;
+  for (auto _ : state) {
+    state.PauseTiming();
+    db.reset();
+    db.emplace(training->database());
+    state.ResumeTiming();
+    std::vector<FeatureVector> matrix =
+        serial ? statistic.Matrix(*db) : service.Matrix(bank, *db);
+    benchmark::DoNotOptimize(matrix.data());
+  }
+  state.counters["features"] = static_cast<double>(bank.size());
+  state.counters["shards"] =
+      serial ? 0 : static_cast<double>(options.num_shards);
+}
+BENCHMARK(BM_CqBankMatrix)
+    ->ArgsProduct({{1001, 1002, 1003}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace featsep

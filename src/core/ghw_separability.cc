@@ -85,9 +85,14 @@ GhwSepResult DecideGhwSep(const TrainingDatabase& training, std::size_t k) {
 std::optional<GhwClassifier> GhwClassifier::Train(
     std::shared_ptr<const TrainingDatabase> training, std::size_t k) {
   FEATSEP_CHECK(training != nullptr);
+  GhwEntityStructure structure = ComputeGhwStructure(training->database(), k);
+  return TrainOnStructure(std::move(training), k, structure);
+}
+
+std::optional<GhwClassifier> GhwClassifier::TrainOnStructure(
+    std::shared_ptr<const TrainingDatabase> training, std::size_t k,
+    const GhwEntityStructure& structure) {
   FEATSEP_CHECK(training->IsFullyLabeled());
-  const Database& db = training->database();
-  GhwEntityStructure structure = ComputeGhwStructure(db, k);
 
   // Separability check (Prop 5.5) and per-class labels.
   for (const std::vector<std::size_t>& cls : structure.classes) {
@@ -147,11 +152,11 @@ Labeling GhwClassifier::Classify(const Database& eval) const {
   return labeling;
 }
 
-GhwRelabelResult GhwOptimalRelabel(const TrainingDatabase& training,
-                                   std::size_t k) {
-  FEATSEP_CHECK(training.IsFullyLabeled());
-  GhwEntityStructure structure =
-      ComputeGhwStructure(training.database(), k);
+namespace {
+
+/// Algorithm 2's relabeling read off a computed →_k structure.
+GhwRelabelResult RelabelByClassMajority(const TrainingDatabase& training,
+                                        const GhwEntityStructure& structure) {
   GhwRelabelResult result;
   result.disagreement = 0;
   for (const std::vector<std::size_t>& cls : structure.classes) {
@@ -170,8 +175,6 @@ GhwRelabelResult GhwOptimalRelabel(const TrainingDatabase& training,
   return result;
 }
 
-namespace {
-
 /// Algorithm 2's test: the optimal relabeling changes at most ε·|entities|
 /// labels.
 bool WithinErrorBudget(const GhwRelabelResult& relabel,
@@ -185,6 +188,13 @@ bool WithinErrorBudget(const GhwRelabelResult& relabel,
 
 }  // namespace
 
+GhwRelabelResult GhwOptimalRelabel(const TrainingDatabase& training,
+                                   std::size_t k) {
+  FEATSEP_CHECK(training.IsFullyLabeled());
+  return RelabelByClassMajority(training,
+                                ComputeGhwStructure(training.database(), k));
+}
+
 bool DecideGhwApxSep(const TrainingDatabase& training, std::size_t k,
                      double epsilon) {
   return WithinErrorBudget(GhwOptimalRelabel(training, k), training, epsilon);
@@ -194,18 +204,21 @@ std::optional<Labeling> GhwApxClassify(
     std::shared_ptr<const TrainingDatabase> training, std::size_t k,
     double epsilon, const Database& eval) {
   FEATSEP_CHECK(training != nullptr);
-  GhwRelabelResult relabel = GhwOptimalRelabel(*training, k);
+  FEATSEP_CHECK(training->IsFullyLabeled());
+  GhwEntityStructure structure = ComputeGhwStructure(training->database(), k);
+  GhwRelabelResult relabel = RelabelByClassMajority(*training, structure);
   if (!WithinErrorBudget(relabel, *training, epsilon)) return std::nullopt;
 
   // Train on (D, λ'): λ' is GHW(k)-separable by construction (Thm 7.4).
-  // Copy preserves value ids, so the labels transfer directly.
+  // Copy preserves value ids, so the labels and the →_k structure, which
+  // does not depend on labels, transfer directly.
   auto relabeled = std::make_shared<TrainingDatabase>(
       std::make_shared<Database>(Copy(training->database())));
   for (Value e : training->Entities()) {
     relabeled->SetLabel(e, relabel.relabeled.Get(e));
   }
   std::optional<GhwClassifier> classifier =
-      GhwClassifier::Train(relabeled, k);
+      GhwClassifier::TrainOnStructure(relabeled, k, structure);
   FEATSEP_CHECK(classifier.has_value());
   return classifier->Classify(eval);
 }

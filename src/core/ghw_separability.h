@@ -76,6 +76,17 @@ class GhwClassifier {
   std::size_t k() const { return k_; }
 
  private:
+  // GhwApxClassify trains on the structure its relabeling already computed.
+  friend std::optional<Labeling> GhwApxClassify(
+      std::shared_ptr<const TrainingDatabase> training, std::size_t k,
+      double epsilon, const Database& eval);
+
+  /// Train on `structure`, which must be the →_k structure of
+  /// training->database().
+  static std::optional<GhwClassifier> TrainOnStructure(
+      std::shared_ptr<const TrainingDatabase> training, std::size_t k,
+      const GhwEntityStructure& structure);
+
   GhwClassifier(std::shared_ptr<const TrainingDatabase> training,
                 std::size_t k, std::vector<Value> representatives,
                 LinearClassifier classifier)

@@ -23,10 +23,11 @@ namespace {
 /// positions into dom(from), candidate images are positions into dom(to),
 /// and every domain is an SvoBitset over the 0..|dom(to)|-1 universe. All
 /// per-fact structure (variable indices per position, repeated-variable
-/// position pairs) and all per-(relation, position[, value]) target indexes
-/// (allowed-value bitsets, support bitsets) are computed once per search
-/// and reused at every node, so the inner loops are word-wise bit
-/// operations.
+/// position pairs) and the per-(relation, position, value) support bitsets
+/// are computed once per search and reused at every node, so the inner
+/// loops are word-wise bit operations. The unary constraints come from the
+/// target's cached Database::position_bitsets(), shared by every search
+/// into it.
 ///
 /// A HomSearch may Run many times (PreparedHomSearch): the first Run
 /// prepares the seed-independent state — variables, per-fact structure and
@@ -76,7 +77,8 @@ class HomSearch {
   void Rewind();
   void BuildStructures();
   /// Filters every variable's domain through the unary constraints induced
-  /// by its (relation, position) occurrences in `from_`.
+  /// by its (relation, position) occurrences in `from_`, and a variable
+  /// repeated inside a fact through the target's diagonal at those positions.
   bool ApplyUnaryConstraints();
   /// The backtracking search from the post-seed state: kFound leaves the
   /// witness in assigned_value_; kExhausted means the budget tripped.
@@ -101,9 +103,6 @@ class HomSearch {
   std::uint32_t RelPosId(RelationId relation, std::size_t pos) const {
     return relpos_base_[relation] + static_cast<std::uint32_t>(pos);
   }
-  /// Bitset of dom(to) positions of values occurring at (relation, pos) in
-  /// `to_`. Built lazily, once per (relation, pos).
-  const SvoBitset& Allowed(RelationId relation, std::size_t pos);
   /// Per-position support bitsets of (relation, pos, image): entry p is the
   /// set of dom(to) positions of values at argument p among the `to_` facts
   /// of `relation` carrying `image` at `pos`. Built lazily, once per key.
@@ -133,8 +132,6 @@ class HomSearch {
   std::vector<DomIndex> assigned_index_;    // Dense twin of assigned_value_.
   std::size_t unassigned_ = 0;
 
-  std::vector<SvoBitset> allowed_;          // Indexed by (rel, pos) id.
-  std::vector<bool> allowed_valid_;
   // (rel, pos) id -> the to_ position index consulted for pivot sizes —
   // cached at setup so each probe is one hash find with no per-call
   // relation/pos navigation (and no O(|facts|) count-table builds).
@@ -271,8 +268,6 @@ void HomSearch::BuildStructures() {
     relpos_base_[r] = base;
     base += static_cast<std::uint32_t>(schema.arity(r));
   }
-  allowed_.resize(base);
-  allowed_valid_.assign(base, false);
   pos_index_.resize(base);
   for (RelationId r = 0; r < schema.size(); ++r) {
     for (std::size_t p = 0; p < schema.arity(r); ++p) {
@@ -308,19 +303,6 @@ void HomSearch::BuildStructures() {
   saved_epoch_.assign(vars_.size(), 0);
 }
 
-const SvoBitset& HomSearch::Allowed(RelationId relation, std::size_t pos) {
-  std::uint32_t id = RelPosId(relation, pos);
-  if (!allowed_valid_[id]) {
-    SvoBitset bits(ndom_);
-    for (FactIndex fi : to_.FactsOf(relation)) {
-      bits.set((*to_index_)[to_.fact(fi).args[pos]]);
-    }
-    allowed_[id] = std::move(bits);
-    allowed_valid_[id] = true;
-  }
-  return allowed_[id];
-}
-
 const std::vector<SvoBitset>& HomSearch::Support(RelationId relation,
                                                  std::size_t pos,
                                                  DomIndex image_index,
@@ -344,11 +326,16 @@ const std::vector<SvoBitset>& HomSearch::Support(RelationId relation,
 }
 
 bool HomSearch::ApplyUnaryConstraints() {
+  const Database::PositionBitsets& target = to_.position_bitsets();
   for (FactIndex fi = 0; fi < from_.facts().size(); ++fi) {
     const Fact& fact = from_.fact(fi);
     const FactInfo& info = fact_info_[fi];
     for (std::size_t pos = 0; pos < fact.args.size(); ++pos) {
-      domains_[info.vars[pos]].intersect_with(Allowed(fact.relation, pos));
+      domains_[info.vars[pos]].intersect_with(target.at(fact.relation, pos));
+    }
+    for (const auto& [p1, p2] : info.rep_pairs) {
+      domains_[info.vars[p1]].intersect_with(
+          target.diagonal(fact.relation, p1, p2));
     }
   }
   for (VarIndex i = 0; i < vars_.size(); ++i) {

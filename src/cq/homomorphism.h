@@ -39,10 +39,12 @@ struct HomResult {
 /// outside dom(from) are unconstrained and simply copied into the mapping.
 ///
 /// The search is backtracking over bitset domains indexed by dom(to)
-/// positions, with unary-constraint domain initialization, fact-granularity
-/// forward checking against precomputed (relation, position, value) support
-/// bitsets, and minimum-remaining-values variable selection with a degree
-/// tie-break. Worst-case exponential (the problem is NP-complete).
+/// positions. Domains start from `to`'s cached position bitsets
+/// (Database::position_bitsets()): the values at each (relation, position)
+/// a variable occupies, and the diagonal for a variable repeated inside a
+/// fact. The search then runs fact-granularity forward checking against
+/// precomputed (relation, position, value) support bitsets, and
+/// minimum-remaining-values variable selection with a degree tie-break. Worst-case exponential (the problem is NP-complete).
 ///
 /// `budget` (nullptr = unbounded) is charged one step per search-tree node.
 /// An interrupted search returns kExhausted with the budget's outcome —
@@ -56,10 +58,9 @@ HomResult FindHomomorphism(
 /// One homomorphism search from `from` into `to`, prepared once and run for
 /// many seeds — the per-entity probes of one query over one database. The
 /// first Run builds everything that does not depend on the seed: the
-/// source structure, the unary-constrained base domains, and the target
-/// indexes the search builds lazily (allowed-value, support and fact-index
-/// bitsets). Each later Run rewinds to the base domains, re-seeds, and keeps
-/// every target index built so far, so a seed whose image lies outside its
+/// source structure and the unary-constrained base domains. Each later Run
+/// rewinds to the base domains, re-seeds, and keeps every support bitset
+/// built so far, so a seed whose image lies outside its
 /// variable's base domain is rejected without a search. Each Run decides
 /// exactly what FindHomomorphism(from, to, seed, budget) would,
 /// with the same node count. Not thread-safe (one per thread); `from` and

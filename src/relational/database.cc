@@ -29,7 +29,8 @@ Database::Database(std::shared_ptr<const Schema> schema)
 // The copy/move special members are spelled out because the cache mutex and
 // the atomic validity flags are neither copyable nor movable. Copying or
 // moving requires exclusive access to both operands (as mutation does), so
-// the cache fields can be transferred without holding the mutex.
+// the cache fields can be transferred without holding the mutex. A copy
+// starts with cold position bitsets; a move takes them along.
 
 Database::Database(const Database& other)
     : schema_(other.schema_),
@@ -62,6 +63,7 @@ Database& Database::operator=(const Database& other) {
   domain_cache_ = other.domain_cache_;
   domain_index_cache_ = other.domain_index_cache_;
   domain_cache_valid_.store(other.domain_cache_valid_.load());
+  bitsets_valid_.store(false);
   digest_cache_ = other.digest_cache_;
   digest_schema_hash_ = other.digest_schema_hash_;
   digest_facts_hash_ = other.digest_facts_hash_;
@@ -82,12 +84,15 @@ Database::Database(Database&& other) noexcept
       domain_cache_(std::move(other.domain_cache_)),
       domain_index_cache_(std::move(other.domain_index_cache_)),
       domain_cache_valid_(other.domain_cache_valid_.load()),
+      bitsets_cache_(std::move(other.bitsets_cache_)),
+      bitsets_valid_(other.bitsets_valid_.load()),
       digest_cache_(other.digest_cache_),
       digest_schema_hash_(other.digest_schema_hash_),
       digest_facts_hash_(other.digest_facts_hash_),
       digest_valid_(other.digest_valid_.load()),
       in_domain_(std::move(other.in_domain_)) {
   other.domain_cache_valid_.store(false);
+  other.bitsets_valid_.store(false);
   other.digest_valid_.store(false);
 }
 
@@ -104,12 +109,15 @@ Database& Database::operator=(Database&& other) noexcept {
   domain_cache_ = std::move(other.domain_cache_);
   domain_index_cache_ = std::move(other.domain_index_cache_);
   domain_cache_valid_.store(other.domain_cache_valid_.load());
+  bitsets_cache_ = std::move(other.bitsets_cache_);
+  bitsets_valid_.store(other.bitsets_valid_.load());
   digest_cache_ = other.digest_cache_;
   digest_schema_hash_ = other.digest_schema_hash_;
   digest_facts_hash_ = other.digest_facts_hash_;
   digest_valid_.store(other.digest_valid_.load());
   in_domain_ = std::move(other.in_domain_);
   other.domain_cache_valid_.store(false);
+  other.bitsets_valid_.store(false);
   other.digest_valid_.store(false);
   return *this;
 }
@@ -124,6 +132,7 @@ Value Database::Intern(std::string_view name) {
   in_domain_.push_back(false);
   // Keep the domain_index() length invariant (num_values() entries).
   domain_cache_valid_.store(false, std::memory_order_relaxed);
+  bitsets_valid_.store(false, std::memory_order_relaxed);
   return value;
 }
 
@@ -171,6 +180,7 @@ bool Database::ApplyInsert(RelationId relation, std::vector<Value> args,
 bool Database::AddFact(RelationId relation, std::vector<Value> args) {
   if (!ApplyInsert(relation, std::move(args), nullptr, nullptr)) return false;
   domain_cache_valid_.store(false, std::memory_order_relaxed);
+  bitsets_valid_.store(false, std::memory_order_relaxed);
   digest_valid_.store(false, std::memory_order_relaxed);
   return true;
 }
@@ -206,6 +216,7 @@ Delta Database::InsertFact(RelationId relation, std::vector<Value> args) {
   delta.applied = true;
   delta.entity_fact = schema_->has_entity_relation() &&
                       relation == schema_->entity_relation();
+  bitsets_valid_.store(false, std::memory_order_relaxed);
 
   // Digest patch: the facts part is a commutative sum, so one += suffices.
   digest_facts_hash_ += FactContentHash(facts_.back());
@@ -246,6 +257,7 @@ Delta Database::RemoveFact(RelationId relation,
   delta.applied = true;
   delta.entity_fact = schema_->has_entity_relation() &&
                       relation == schema_->entity_relation();
+  bitsets_valid_.store(false, std::memory_order_relaxed);
   for (Value v : args) {
     if (std::find(delta.touched.begin(), delta.touched.end(), v) ==
         delta.touched.end()) {
@@ -378,6 +390,63 @@ const std::vector<Value>& Database::domain() const {
 const std::vector<std::uint32_t>& Database::domain_index() const {
   domain();  // Rebuilds both caches when stale.
   return domain_index_cache_;
+}
+
+namespace {
+
+// Slot of the pair p1 < p2 among an arity-`arity` relation's pairs, listed
+// (0,1), (0,2), …, (0,arity-1), (1,2), ….
+std::size_t PairSlot(std::size_t arity, std::size_t p1, std::size_t p2) {
+  return p1 * (2 * arity - p1 - 1) / 2 + (p2 - p1 - 1);
+}
+
+}  // namespace
+
+const SvoBitset& Database::PositionBitsets::diagonal(RelationId relation,
+                                                     std::size_t p1,
+                                                     std::size_t p2) const {
+  FEATSEP_CHECK_LT(p1, p2);
+  const std::size_t arity =
+      relpos_base_[relation + 1] - relpos_base_[relation];
+  return diagonal_[pair_base_[relation] + PairSlot(arity, p1, p2)];
+}
+
+const Database::PositionBitsets& Database::position_bitsets() const {
+  if (!bitsets_valid_.load(std::memory_order_acquire)) {
+    // domain() takes cache_mutex_ itself, so warm it before locking.
+    const std::vector<std::uint32_t>& index = domain_index();
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    if (!bitsets_valid_.load(std::memory_order_relaxed)) {
+      PositionBitsets& bits = bitsets_cache_;
+      const std::size_t ndom = domain_cache_.size();
+      bits.relpos_base_.assign(schema_->size() + 1, 0);
+      bits.pair_base_.assign(schema_->size(), 0);
+      std::uint32_t pairs = 0;
+      for (RelationId r = 0; r < schema_->size(); ++r) {
+        const auto arity = static_cast<std::uint32_t>(schema_->arity(r));
+        bits.relpos_base_[r + 1] = bits.relpos_base_[r] + arity;
+        bits.pair_base_[r] = pairs;
+        pairs += arity * (arity - 1) / 2;  // 0 for arity 0 too.
+      }
+      bits.at_.assign(bits.relpos_base_.back(), SvoBitset(ndom));
+      bits.diagonal_.assign(pairs, SvoBitset(ndom));
+      for (const Fact& fact : facts_) {
+        const std::size_t arity = fact.args.size();
+        for (std::size_t p1 = 0; p1 < arity; ++p1) {
+          const std::uint32_t i = index[fact.args[p1]];
+          bits.at_[bits.relpos_base_[fact.relation] + p1].set(i);
+          for (std::size_t p2 = p1 + 1; p2 < arity; ++p2) {
+            if (fact.args[p2] != fact.args[p1]) continue;
+            bits.diagonal_[bits.pair_base_[fact.relation] +
+                           PairSlot(arity, p1, p2)]
+                .set(i);
+          }
+        }
+      }
+      bitsets_valid_.store(true, std::memory_order_release);
+    }
+  }
+  return bitsets_cache_;
 }
 
 std::uint64_t Database::ContentDigest() const {

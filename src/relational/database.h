@@ -14,6 +14,7 @@
 #include "relational/fact.h"
 #include "relational/schema.h"
 #include "relational/value.h"
+#include "util/svo_bitset.h"
 
 namespace featsep {
 
@@ -57,10 +58,10 @@ struct Delta {
 /// Thread safety: mutation (Intern, AddFact, InsertFact, RemoveFact) and
 /// copying/moving require exclusive access, like a standard container. All
 /// const accessors — including the lazily built `domain()`,
-/// `domain_index()`, and `ContentDigest()` caches — are safe to call
-/// concurrently from any number of threads with no warm-up step: lazy
-/// construction is internally synchronized (double-checked locking on a
-/// per-database mutex).
+/// `domain_index()`, `position_bitsets()` and `ContentDigest()` caches — are
+/// safe to call concurrently from any number of threads with no warm-up
+/// step: lazy construction is internally synchronized (double-checked
+/// locking on a per-database mutex).
 ///
 /// Mutation contract (pinned by DatabaseMutationContractTest under tsan):
 /// mutating while ANY other thread reads the database — or dereferences a
@@ -72,7 +73,9 @@ struct Delta {
 /// or a task-queue handoff), the mutator applies InsertFact/RemoveFact
 /// exclusively, then readers resume — re-fetching references, never reusing
 /// pre-mutation ones. Caches stay warm across the epoch boundary: the
-/// mutators patch rather than drop them whenever possible.
+/// mutators patch rather than drop them whenever possible. The exception is
+/// `position_bitsets()`, which every mutation resets; it is rebuilt by the
+/// next search into the database.
 class Database {
  public:
   explicit Database(std::shared_ptr<const Schema> schema);
@@ -168,6 +171,34 @@ class Database {
   /// from concurrent readers.
   const std::vector<std::uint32_t>& domain_index() const;
 
+  /// Value bitsets over domain() positions (bit i stands for domain()[i]),
+  /// the unary constraints every homomorphism search into this database
+  /// starts from.
+  class PositionBitsets {
+   public:
+    /// The values occurring at argument `pos` of some `relation` fact.
+    const SvoBitset& at(RelationId relation, std::size_t pos) const {
+      return at_[relpos_base_[relation] + pos];
+    }
+    /// The diagonal of `relation` at p1 < p2: the values some fact carries
+    /// at both positions.
+    const SvoBitset& diagonal(RelationId relation, std::size_t p1,
+                              std::size_t p2) const;
+
+   private:
+    friend class Database;
+    // relation -> first at_ slot; one more entry closes the last relation.
+    std::vector<std::uint32_t> relpos_base_;
+    std::vector<SvoBitset> at_;
+    std::vector<std::uint32_t> pair_base_;  // relation -> first diagonal_ slot.
+    std::vector<SvoBitset> diagonal_;  // Pairs (0,1), (0,2), …, (1,2), ….
+  };
+
+  /// The position bitsets of this database. Built lazily from one pass over
+  /// the facts, reset by every mutation and not carried by copies, and like
+  /// domain() safe to hit cold from concurrent readers.
+  const PositionBitsets& position_bitsets() const;
+
   /// Content digest: explicit FNV-1a-64 over canonical bytes of the schema
   /// and the *set* of facts, insensitive to fact insertion order and to
   /// value interning order (facts are hashed by relation and argument
@@ -240,6 +271,8 @@ class Database {
   mutable std::vector<Value> domain_cache_;
   mutable std::vector<std::uint32_t> domain_index_cache_;
   mutable std::atomic<bool> domain_cache_valid_{false};
+  mutable PositionBitsets bitsets_cache_;
+  mutable std::atomic<bool> bitsets_valid_{false};
   mutable std::uint64_t digest_cache_ = 0;
   // The two components ContentDigest() is composed from, memoized alongside
   // it so the mutation API can patch the digest in O(fact): the schema part

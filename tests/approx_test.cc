@@ -6,6 +6,7 @@
 #include "core/separability.h"
 #include "relational/database_ops.h"
 #include "test_util.h"
+#include "testing/coverage.h"
 
 namespace featsep {
 namespace {
@@ -156,6 +157,41 @@ TEST(GhwApxClassifyTest, MatchesDecideRelabelTrainClassify) {
   EXPECT_EQ(labeling->Get(db.FindValue("t2")), kPositive);
   EXPECT_EQ(labeling->Get(db.FindValue("r0")), kPositive);
   EXPECT_EQ(labeling->Get(db.FindValue("s0")), kNegative);
+}
+
+// GhwApxClassify builds the →_k structure once: it enumerates as many
+// cover-game positions as one ComputeGhwStructure plus one Classify.
+TEST(GhwApxClassifyTest, BuildsTheStructureOnce) {
+  using ::featsep::testing::CoverageSite;
+  auto positions = [] {
+    return ::featsep::testing::SnapshotCoverage()
+        .counts[static_cast<std::size_t>(CoverageSite::kCoverPosition)];
+  };
+  for (auto training : {SeparableDataset(), NoisyDataset()}) {
+    const Database& db = training->database();
+    GhwRelabelResult relabel = GhwOptimalRelabel(*training, 1);
+    auto relabeled = std::make_shared<TrainingDatabase>(
+        std::make_shared<Database>(Copy(db)));
+    for (Value e : training->Entities()) {
+      relabeled->SetLabel(e, relabel.relabeled.Get(e));
+    }
+    std::optional<GhwClassifier> classifier =
+        GhwClassifier::Train(relabeled, 1);
+    ASSERT_TRUE(classifier.has_value());
+
+    ::featsep::testing::SetCoverageEnabled(true);
+    ::featsep::testing::ResetCoverage();
+    ComputeGhwStructure(db, 1);
+    classifier->Classify(db);
+    const std::uint64_t expected = positions();
+    ::featsep::testing::ResetCoverage();
+    std::optional<Labeling> labeling = GhwApxClassify(training, 1, 0.49, db);
+    const std::uint64_t counted = positions();
+    ::featsep::testing::SetCoverageEnabled(false);
+    ASSERT_TRUE(labeling.has_value());
+    EXPECT_GT(expected, 0u);
+    EXPECT_EQ(counted, expected);
+  }
 }
 
 }  // namespace

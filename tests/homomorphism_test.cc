@@ -3,6 +3,9 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -110,6 +113,35 @@ TEST(HomomorphismTest, RepeatedVariablePositions) {
   Database loop(GraphSchema());
   loop.AddFact("E", {"v", "v"});
   EXPECT_TRUE(HomomorphismExists(a, loop));
+}
+
+// A variable repeated inside a source fact starts on the target's diagonal
+// at those positions, so a loop atom into a loop-free target fails during
+// setup, whatever other atoms the source holds.
+TEST(HomomorphismTest, LoopAtomIntoLoopFreeTargetFailsWithoutSearch) {
+  Database target(GraphSchema());
+  auto cycle = AddCycle(target, "c", 5);
+  for (int i = 0; i < 4; ++i) {
+    Value e = testing::AddEntity(target, "e" + std::to_string(i));
+    target.AddFact(target.schema().FindRelation("E"), {e, cycle[i]});
+  }
+
+  Database entity_and_loop(GraphSchema());
+  entity_and_loop.AddFact("Eta", {"y1"});
+  entity_and_loop.AddFact("E", {"y2", "y2"});
+  Database edge_and_loop(GraphSchema());
+  edge_and_loop.AddFact("E", {"y1", "y2"});
+  edge_and_loop.AddFact("E", {"y2", "y2"});
+  for (const Database* source : {&entity_and_loop, &edge_and_loop}) {
+    HomResult result = FindHomomorphism(*source, target);
+    EXPECT_EQ(result.status, HomStatus::kNone);
+    EXPECT_EQ(result.nodes, 0u);
+  }
+
+  // One loop anywhere in the target is enough for both.
+  target.AddFact("E", {"c2", "c2"});
+  EXPECT_TRUE(HomomorphismExists(entity_and_loop, target));
+  EXPECT_TRUE(HomomorphismExists(edge_and_loop, target));
 }
 
 TEST(HomomorphismTest, BudgetExhaustion) {
@@ -262,6 +294,28 @@ TEST(HomomorphismTest, RepeatedVariablesInTernaryFact) {
   Database diag(schema);
   diag.AddFact("R", {"d", "d", "d"});
   EXPECT_TRUE(HomomorphismExists(diag_source, diag));
+}
+
+TEST(HomomorphismTest, DiagonalMatchesTheRepeatedPositions) {
+  // The target repeats a value at positions 0 and 2 and at 0 and 1, never
+  // at 1 and 2, so R(x, y, x) and R(x, x, y) map and R(y, x, x) fails
+  // during setup.
+  auto schema = TernarySchema();
+  Database target(schema);
+  target.AddFact("R", {"a", "b", "a"});
+  target.AddFact("R", {"c", "c", "d"});
+  for (const auto& [args, maps] :
+       std::vector<std::pair<std::vector<std::string>, bool>>{
+           {{"x", "y", "x"}, true},
+           {{"x", "x", "y"}, true},
+           {{"y", "x", "x"}, false}}) {
+    Database source(schema);
+    source.AddFact("R", args);
+    HomResult result = FindHomomorphism(source, target);
+    EXPECT_EQ(result.status, maps ? HomStatus::kFound : HomStatus::kNone)
+        << args[0] << args[1] << args[2];
+    if (!maps) EXPECT_EQ(result.nodes, 0u);
+  }
 }
 
 // The two cases below pin forward checking's exact pruning through the node

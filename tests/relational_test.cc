@@ -1,5 +1,8 @@
 #include <cstdint>
 #include <memory>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +13,7 @@
 #include "relational/training_database.h"
 #include "test_util.h"
 #include "util/parallel.h"
+#include "util/svo_bitset.h"
 
 namespace featsep {
 namespace {
@@ -254,6 +258,138 @@ TEST(DatabaseDigestTest, SchemaShapeIsPartOfTheDigest) {
   Database unary(testing::UnarySchema());
   AddEntity(unary, "e");
   EXPECT_NE(graph.ContentDigest(), unary.ContentDigest());
+}
+
+// Eta/1, E/2 and T/3: relations with zero, one and three diagonals.
+std::shared_ptr<const Schema> MixedAritySchema() {
+  Schema schema;
+  RelationId eta = schema.AddRelation("Eta", 1);
+  schema.AddRelation("E", 2);
+  schema.AddRelation("T", 3);
+  schema.set_entity_relation(eta);
+  return std::make_shared<const Schema>(std::move(schema));
+}
+
+// Compares db.position_bitsets() with a scan of the facts: bit i of the
+// (relation, p1, p2) set, with p1 == p2 standing for at(relation, p1), holds
+// iff some fact carries domain()[i] at both positions.
+void ExpectBitsetsMatchScan(const Database& db) {
+  const Database::PositionBitsets& bits = db.position_bitsets();
+  const std::vector<Value>& dom = db.domain();
+  for (RelationId r = 0; r < db.schema().size(); ++r) {
+    const std::size_t arity = db.schema().arity(r);
+    for (std::size_t p1 = 0; p1 < arity; ++p1) {
+      for (std::size_t p2 = p1; p2 < arity; ++p2) {
+        const SvoBitset& got =
+            p1 == p2 ? bits.at(r, p1) : bits.diagonal(r, p1, p2);
+        ASSERT_EQ(got.size(), dom.size());
+        for (std::size_t i = 0; i < dom.size(); ++i) {
+          bool want = false;
+          for (FactIndex fi : db.FactsOf(r)) {
+            const Fact& fact = db.fact(fi);
+            want = want ||
+                   (fact.args[p1] == dom[i] && fact.args[p2] == dom[i]);
+          }
+          EXPECT_EQ(got.test(i), want)
+              << db.schema().name(r) << " positions " << p1 << "," << p2
+              << " value " << db.value_name(dom[i]);
+        }
+      }
+    }
+  }
+}
+
+// Random AddFact/InsertFact/RemoveFact/Intern steps over a few values, so
+// values enter and leave dom(D) and loops and diagonals come and go.
+void MutateRandomly(Database& db, std::mt19937& rng, int steps) {
+  for (int step = 0; step < steps; ++step) {
+    const RelationId r = rng() % db.schema().size();
+    std::vector<Value> args;
+    for (std::size_t p = 0; p < db.schema().arity(r); ++p) {
+      args.push_back(db.Intern("v" + std::to_string(rng() % 5)));
+    }
+    switch (rng() % 4) {
+      case 0: db.AddFact(r, args); break;
+      case 1: db.InsertFact(r, args); break;
+      case 2: {
+        // Remove a present fact most of the time, else a likely absent one.
+        if (!db.facts().empty() && rng() % 4 != 0) {
+          const Fact present = db.facts()[rng() % db.facts().size()];
+          db.RemoveFact(present.relation, present.args);
+        } else {
+          db.RemoveFact(r, args);
+        }
+        break;
+      }
+      default: db.Intern("w" + std::to_string(step)); break;
+    }
+    if (rng() % 2 == 0) ExpectBitsetsMatchScan(db);
+  }
+}
+
+TEST(PositionBitsetsTest, MatchAScanAfterMixedMutations) {
+  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937 rng(seed);
+    Database db(MixedAritySchema());
+    MutateRandomly(db, rng, 60);
+    ExpectBitsetsMatchScan(db);
+  }
+}
+
+TEST(PositionBitsetsTest, MatchAScanAfterCopyAndMove) {
+  std::mt19937 rng(7);
+  Database db(MixedAritySchema());
+  MutateRandomly(db, rng, 40);
+  ExpectBitsetsMatchScan(db);  // Warm the source's cache.
+
+  Database copy(db);
+  ExpectBitsetsMatchScan(copy);
+  // A copy mutates apart from its source.
+  MutateRandomly(copy, rng, 20);
+  ExpectBitsetsMatchScan(copy);
+  ExpectBitsetsMatchScan(db);
+
+  // Assignment replaces a warm cache of other content.
+  Database assigned(MixedAritySchema());
+  assigned.AddFact("T", {"a", "a", "b"});
+  ExpectBitsetsMatchScan(assigned);
+  assigned = db;
+  ExpectBitsetsMatchScan(assigned);
+
+  Database moved(std::move(copy));
+  ExpectBitsetsMatchScan(moved);
+  MutateRandomly(moved, rng, 20);
+  ExpectBitsetsMatchScan(moved);
+  assigned = std::move(moved);
+  ExpectBitsetsMatchScan(assigned);
+}
+
+TEST(DatabaseConcurrencyTest, ColdPositionBitsetsBuildSafelyUnderParallelFor) {
+  // Several threads hit a cold database's position bitsets at once, some
+  // after domain() and some before it; all must see the one built cache.
+  for (int round = 0; round < 4; ++round) {
+    Database db(MixedAritySchema());
+    std::mt19937 rng(100 + round);
+    for (int i = 0; i < 40; ++i) {
+      const RelationId r = 1 + rng() % 2;
+      std::vector<Value> args;
+      for (std::size_t p = 0; p < db.schema().arity(r); ++p) {
+        args.push_back(db.Intern("v" + std::to_string(rng() % 8)));
+      }
+      db.AddFact(r, std::move(args));
+    }
+
+    std::vector<std::size_t> counts(16, 0);
+    ParallelFor(8, 16, [&](std::size_t i) {
+      if (i % 2 == 0) (void)db.domain();
+      const Database::PositionBitsets& bits = db.position_bitsets();
+      counts[i] = bits.at(1, 0).count() + bits.at(2, 2).count() +
+                  bits.diagonal(1, 0, 1).count() +
+                  bits.diagonal(2, 0, 2).count();
+    });
+    for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(counts[i], counts[0]);
+    ExpectBitsetsMatchScan(db);
+  }
 }
 
 TEST(DatabaseConcurrencyTest, ColdLazyCachesBuildSafelyUnderParallelFor) {
