@@ -5,7 +5,6 @@
 
 #include "cq/enumeration.h"
 #include "linsep/min_error.h"
-#include "relational/database_ops.h"
 #include "util/check.h"
 
 namespace featsep {
@@ -61,7 +60,7 @@ std::shared_ptr<TrainingDatabase> ReduceSepToApxSep(
   FEATSEP_CHECK(found) << "no admissible anchor count K for epsilon="
                        << epsilon << ", n=" << n;
 
-  auto db = std::make_shared<Database>(Copy(training.database()));
+  auto db = std::make_shared<Database>(training.database());
   RelationId eta = db->schema().entity_relation();
   auto result = std::make_shared<TrainingDatabase>(db);
   for (Value e : training.Entities()) {

@@ -5,7 +5,6 @@
 
 #include "covergame/cover_game.h"
 #include "linsep/separability_lp.h"
-#include "relational/database_ops.h"
 #include "util/check.h"
 
 namespace featsep {
@@ -210,10 +209,10 @@ std::optional<Labeling> GhwApxClassify(
   if (!WithinErrorBudget(relabel, *training, epsilon)) return std::nullopt;
 
   // Train on (D, λ'): λ' is GHW(k)-separable by construction (Thm 7.4).
-  // Copy preserves value ids, so the labels and the →_k structure, which
+  // A copy preserves value ids, so the labels and the →_k structure, which
   // does not depend on labels, transfer directly.
   auto relabeled = std::make_shared<TrainingDatabase>(
-      std::make_shared<Database>(Copy(training->database())));
+      std::make_shared<Database>(training->database()));
   for (Value e : training->Entities()) {
     relabeled->SetLabel(e, relabel.relabeled.Get(e));
   }

@@ -11,7 +11,7 @@
 namespace featsep {
 
 Database CoreOf(const Database& db, const std::vector<Value>& frozen) {
-  Database current = Copy(db);
+  Database current = db;
   std::unordered_set<Value> frozen_set(frozen.begin(), frozen.end());
 
   bool changed = true;

@@ -49,7 +49,7 @@ Result<SeparatorModel> ReadSeparatorModel(
   std::vector<ConjunctiveQuery> features;
   std::vector<Rational> weights;
   Rational threshold;
-  bool saw_threshold = false;
+  std::size_t threshold_line = 0;  // 0: no threshold line yet.
 
   std::size_t line_number = 0;
   for (const std::string& raw_line : Split(text, '\n')) {
@@ -64,10 +64,14 @@ Result<SeparatorModel> ReadSeparatorModel(
       if (!q.ok()) return error(q.error().message());
       features.push_back(std::move(q.value()));
     } else if (StartsWith(line, "threshold ")) {
+      if (threshold_line != 0) {
+        return error("second 'threshold' line (first on line " +
+                     std::to_string(threshold_line) + ")");
+      }
       Result<Rational> value = ParseRational(line.substr(10));
       if (!value.ok()) return error(value.error().message());
       threshold = std::move(value.value());
-      saw_threshold = true;
+      threshold_line = line_number;
     } else if (StartsWith(line, "weight ")) {
       Result<Rational> value = ParseRational(line.substr(7));
       if (!value.ok()) return error(value.error().message());
@@ -76,7 +80,7 @@ Result<SeparatorModel> ReadSeparatorModel(
       return error("expected 'feature', 'threshold', or 'weight'");
     }
   }
-  if (!saw_threshold) return Error("missing threshold");
+  if (threshold_line == 0) return Error("missing threshold");
   if (weights.size() != features.size()) {
     return Error("weight count (" + std::to_string(weights.size()) +
                  ") does not match feature count (" +

@@ -1,6 +1,7 @@
 #include "io/reader.h"
 
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,8 @@ struct ParseState {
   Schema schema;
   std::vector<std::pair<std::string, std::vector<std::string>>> facts;
   std::vector<ParsedLabel> labels;
+  // The line of each labeled entity's 'label' line.
+  std::unordered_map<std::string, std::size_t> label_lines;
 };
 
 Result<bool> ParseLine(std::string_view line, std::size_t line_number,
@@ -78,6 +81,11 @@ Result<bool> ParseLine(std::string_view line, std::size_t line_number,
       label = kNegative;
     } else {
       return error("invalid label '" + parts[2] + "'");
+    }
+    auto [first, inserted] = state->label_lines.emplace(parts[1], line_number);
+    if (!inserted) {
+      return error("second 'label' line for '" + parts[1] + "' (first on line " +
+                   std::to_string(first->second) + ")");
     }
     state->labels.push_back(ParsedLabel{parts[1], label});
     return true;

@@ -26,100 +26,40 @@ Database::Database(std::shared_ptr<const Schema> schema)
   }
 }
 
-// The copy/move special members are spelled out because the cache mutex and
-// the atomic validity flags are neither copyable nor movable. Copying or
-// moving requires exclusive access to both operands (as mutation does), so
-// the cache fields can be transferred without holding the mutex. A copy
-// starts with cold position bitsets; a move takes them along.
-
-Database::Database(const Database& other)
-    : schema_(other.schema_),
-      value_names_(other.value_names_),
-      values_by_name_(other.values_by_name_),
-      facts_(other.facts_),
-      fact_set_(other.fact_set_),
-      facts_by_relation_(other.facts_by_relation_),
-      facts_by_value_(other.facts_by_value_),
-      facts_by_position_(other.facts_by_position_),
-      domain_cache_(other.domain_cache_),
-      domain_index_cache_(other.domain_index_cache_),
-      domain_cache_valid_(other.domain_cache_valid_.load()),
-      digest_cache_(other.digest_cache_),
-      digest_schema_hash_(other.digest_schema_hash_),
-      digest_facts_hash_(other.digest_facts_hash_),
-      digest_valid_(other.digest_valid_.load()),
-      in_domain_(other.in_domain_) {}
-
-Database& Database::operator=(const Database& other) {
-  if (this == &other) return *this;
-  schema_ = other.schema_;
-  value_names_ = other.value_names_;
-  values_by_name_ = other.values_by_name_;
-  facts_ = other.facts_;
-  fact_set_ = other.fact_set_;
-  facts_by_relation_ = other.facts_by_relation_;
-  facts_by_value_ = other.facts_by_value_;
-  facts_by_position_ = other.facts_by_position_;
-  domain_cache_ = other.domain_cache_;
-  domain_index_cache_ = other.domain_index_cache_;
-  domain_cache_valid_.store(other.domain_cache_valid_.load());
-  bitsets_valid_.store(false);
-  digest_cache_ = other.digest_cache_;
-  digest_schema_hash_ = other.digest_schema_hash_;
-  digest_facts_hash_ = other.digest_facts_hash_;
-  digest_valid_.store(other.digest_valid_.load());
-  in_domain_ = other.in_domain_;
+Database::LazyCaches& Database::LazyCaches::operator=(
+    const LazyCaches& other) {
+  domain = other.domain;
+  domain_index = other.domain_index;
+  domain_valid.store(other.domain_valid.load());
+  bitsets_valid.store(false);
+  digest = other.digest;
+  digest_schema_hash = other.digest_schema_hash;
+  digest_facts_hash = other.digest_facts_hash;
+  digest_valid.store(other.digest_valid.load());
   return *this;
 }
 
-Database::Database(Database&& other) noexcept
-    : schema_(std::move(other.schema_)),
-      value_names_(std::move(other.value_names_)),
-      values_by_name_(std::move(other.values_by_name_)),
-      facts_(std::move(other.facts_)),
-      fact_set_(std::move(other.fact_set_)),
-      facts_by_relation_(std::move(other.facts_by_relation_)),
-      facts_by_value_(std::move(other.facts_by_value_)),
-      facts_by_position_(std::move(other.facts_by_position_)),
-      domain_cache_(std::move(other.domain_cache_)),
-      domain_index_cache_(std::move(other.domain_index_cache_)),
-      domain_cache_valid_(other.domain_cache_valid_.load()),
-      bitsets_cache_(std::move(other.bitsets_cache_)),
-      bitsets_valid_(other.bitsets_valid_.load()),
-      digest_cache_(other.digest_cache_),
-      digest_schema_hash_(other.digest_schema_hash_),
-      digest_facts_hash_(other.digest_facts_hash_),
-      digest_valid_(other.digest_valid_.load()),
-      in_domain_(std::move(other.in_domain_)) {
-  other.domain_cache_valid_.store(false);
-  other.bitsets_valid_.store(false);
-  other.digest_valid_.store(false);
+Database::LazyCaches& Database::LazyCaches::operator=(
+    LazyCaches&& other) noexcept {
+  domain = std::move(other.domain);
+  domain_index = std::move(other.domain_index);
+  domain_valid.store(other.domain_valid.exchange(false));
+  bitsets = std::move(other.bitsets);
+  bitsets_valid.store(other.bitsets_valid.exchange(false));
+  digest = other.digest;
+  digest_schema_hash = other.digest_schema_hash;
+  digest_facts_hash = other.digest_facts_hash;
+  digest_valid.store(other.digest_valid.exchange(false));
+  return *this;
 }
 
-Database& Database::operator=(Database&& other) noexcept {
-  if (this == &other) return *this;
-  schema_ = std::move(other.schema_);
-  value_names_ = std::move(other.value_names_);
-  values_by_name_ = std::move(other.values_by_name_);
-  facts_ = std::move(other.facts_);
-  fact_set_ = std::move(other.fact_set_);
-  facts_by_relation_ = std::move(other.facts_by_relation_);
-  facts_by_value_ = std::move(other.facts_by_value_);
-  facts_by_position_ = std::move(other.facts_by_position_);
-  domain_cache_ = std::move(other.domain_cache_);
-  domain_index_cache_ = std::move(other.domain_index_cache_);
-  domain_cache_valid_.store(other.domain_cache_valid_.load());
-  bitsets_cache_ = std::move(other.bitsets_cache_);
-  bitsets_valid_.store(other.bitsets_valid_.load());
-  digest_cache_ = other.digest_cache_;
-  digest_schema_hash_ = other.digest_schema_hash_;
-  digest_facts_hash_ = other.digest_facts_hash_;
-  digest_valid_.store(other.digest_valid_.load());
-  in_domain_ = std::move(other.in_domain_);
-  other.domain_cache_valid_.store(false);
-  other.bitsets_valid_.store(false);
-  other.digest_valid_.store(false);
-  return *this;
+void Database::OnMutation(std::uint64_t facts_hash_change) {
+  caches_.domain_valid.store(false, std::memory_order_relaxed);
+  caches_.bitsets_valid.store(false, std::memory_order_relaxed);
+  if (caches_.digest_valid.load(std::memory_order_relaxed)) {
+    caches_.digest_facts_hash += facts_hash_change;
+    caches_.digest = ComposeDigest();
+  }
 }
 
 Value Database::Intern(std::string_view name) {
@@ -129,10 +69,7 @@ Value Database::Intern(std::string_view name) {
   value_names_.emplace_back(name);
   values_by_name_.emplace(std::string(name), value);
   facts_by_value_.emplace_back();
-  in_domain_.push_back(false);
-  // Keep the domain_index() length invariant (num_values() entries).
-  domain_cache_valid_.store(false, std::memory_order_relaxed);
-  bitsets_valid_.store(false, std::memory_order_relaxed);
+  OnMutation(0);  // domain_index() has num_values() entries.
   return value;
 }
 
@@ -146,9 +83,7 @@ const std::string& Database::value_name(Value value) const {
   return value_names_[value];
 }
 
-bool Database::ApplyInsert(RelationId relation, std::vector<Value> args,
-                           std::vector<Value>* touched,
-                           std::vector<Value>* entered) {
+bool Database::AddFact(RelationId relation, std::vector<Value> args) {
   FEATSEP_CHECK_LT(relation, schema_->size());
   FEATSEP_CHECK_EQ(args.size(), schema_->arity(relation))
       << "arity mismatch for relation " << schema_->name(relation);
@@ -160,28 +95,16 @@ bool Database::ApplyInsert(RelationId relation, std::vector<Value> args,
   facts_by_relation_[relation].push_back(index);
   for (std::size_t pos = 0; pos < fact.args.size(); ++pos) {
     facts_by_position_[relation][pos][fact.args[pos]].push_back(index);
-  }
-  // facts_by_value_ lists each fact once even if a value repeats.
-  std::vector<Value> seen;
-  for (Value v : fact.args) {
-    if (std::find(seen.begin(), seen.end(), v) == seen.end()) {
-      seen.push_back(v);
-      if (!in_domain_[v] && entered != nullptr) entered->push_back(v);
-      facts_by_value_[v].push_back(index);
-      in_domain_[v] = true;
+    // facts_by_value_ lists each fact once even if a value repeats.
+    std::vector<FactIndex>& by_value = facts_by_value_[fact.args[pos]];
+    if (by_value.empty() || by_value.back() != index) {
+      by_value.push_back(index);
     }
   }
-  if (touched != nullptr) *touched = seen;
   fact_set_.insert(fact);
   facts_.push_back(std::move(fact));
-  return true;
-}
 
-bool Database::AddFact(RelationId relation, std::vector<Value> args) {
-  if (!ApplyInsert(relation, std::move(args), nullptr, nullptr)) return false;
-  domain_cache_valid_.store(false, std::memory_order_relaxed);
-  bitsets_valid_.store(false, std::memory_order_relaxed);
-  digest_valid_.store(false, std::memory_order_relaxed);
+  OnMutation(FactContentHash(facts_.back()));
   return true;
 }
 
@@ -196,43 +119,35 @@ bool Database::AddFact(std::string_view relation_name,
   return AddFact(relation, std::move(args));
 }
 
-Delta Database::InsertFact(RelationId relation, std::vector<Value> args) {
+Delta Database::BeginDelta(Delta::Kind kind, RelationId relation,
+                           const std::vector<Value>& args) const {
   Delta delta;
-  delta.kind = Delta::Kind::kInsert;
+  delta.kind = kind;
   delta.relation = relation;
   delta.args = args;
-  // Force the digest memoized so the patch below lands on valid parts; the
-  // first mutation on a database pays the one full fold.
+  // Memoizes the digest, so the mutation patches it; the first mutation on
+  // a database pays the one full fold.
   delta.old_digest = ContentDigest();
   delta.new_digest = delta.old_digest;
+  return delta;
+}
 
-  const bool domain_was_warm =
-      domain_cache_valid_.load(std::memory_order_relaxed);
-  std::vector<Value> entered;
-  if (!ApplyInsert(relation, std::move(args), &delta.touched, &entered)) {
-    delta.touched.clear();  // duplicate fact: a no-op, footprint is empty
-    return delta;
-  }
+void Database::CompleteDelta(Delta& delta) const {
   delta.applied = true;
   delta.entity_fact = schema_->has_entity_relation() &&
-                      relation == schema_->entity_relation();
-  bitsets_valid_.store(false, std::memory_order_relaxed);
-
-  // Digest patch: the facts part is a commutative sum, so one += suffices.
-  digest_facts_hash_ += FactContentHash(facts_.back());
-  digest_cache_ = ComposeDigest();
-  delta.new_digest = digest_cache_;
-
-  // Domain patch: splice newly-domained values into the sorted cache. Only
-  // when the cache was warm — a never-built cache stays invalid and is
-  // built on demand.
-  if (domain_was_warm && !entered.empty()) {
-    for (Value v : entered) {
-      auto it = std::lower_bound(domain_cache_.begin(), domain_cache_.end(), v);
-      domain_cache_.insert(it, v);
+                      delta.relation == schema_->entity_relation();
+  for (Value v : delta.args) {
+    if (std::find(delta.touched.begin(), delta.touched.end(), v) ==
+        delta.touched.end()) {
+      delta.touched.push_back(v);
     }
-    ReindexDomainCache();
   }
+  delta.new_digest = caches_.digest;
+}
+
+Delta Database::InsertFact(RelationId relation, std::vector<Value> args) {
+  Delta delta = BeginDelta(Delta::Kind::kInsert, relation, args);
+  if (AddFact(relation, std::move(args))) CompleteDelta(delta);
   return delta;
 }
 
@@ -243,29 +158,11 @@ Delta Database::RemoveFact(RelationId relation,
       << "arity mismatch for relation " << schema_->name(relation);
   for (Value v : args) FEATSEP_CHECK_LT(v, value_names_.size());
 
-  Delta delta;
-  delta.kind = Delta::Kind::kRemove;
-  delta.relation = relation;
-  delta.args = args;
-  delta.old_digest = ContentDigest();  // memoize before patching
-  delta.new_digest = delta.old_digest;
-
+  Delta delta = BeginDelta(Delta::Kind::kRemove, relation, args);
   Fact fact{relation, args};
   auto set_it = fact_set_.find(fact);
   if (set_it == fact_set_.end()) return delta;  // absent fact: a no-op
 
-  delta.applied = true;
-  delta.entity_fact = schema_->has_entity_relation() &&
-                      relation == schema_->entity_relation();
-  bitsets_valid_.store(false, std::memory_order_relaxed);
-  for (Value v : args) {
-    if (std::find(delta.touched.begin(), delta.touched.end(), v) ==
-        delta.touched.end()) {
-      delta.touched.push_back(v);
-    }
-  }
-
-  const std::uint64_t fact_hash = FactContentHash(fact);
   FactIndex removed = facts_.size();
   for (FactIndex i : facts_by_relation_[relation]) {
     if (facts_[i] == fact) {
@@ -302,31 +199,8 @@ Delta Database::RemoveFact(RelationId relation,
     }
   }
 
-  // Values whose last fact this was leave dom(D).
-  const bool domain_was_warm =
-      domain_cache_valid_.load(std::memory_order_relaxed);
-  std::vector<Value> left;
-  for (Value v : delta.touched) {
-    if (facts_by_value_[v].empty() && in_domain_[v]) {
-      in_domain_[v] = false;
-      left.push_back(v);
-    }
-  }
-
-  // Digest patch: subtract the removed fact's hash from the commutative sum.
-  digest_facts_hash_ -= fact_hash;
-  digest_cache_ = ComposeDigest();
-  delta.new_digest = digest_cache_;
-
-  // Domain patch: erase leavers from the sorted cache (cache stays warm).
-  if (domain_was_warm && !left.empty()) {
-    for (Value v : left) {
-      auto it = std::lower_bound(domain_cache_.begin(), domain_cache_.end(), v);
-      FEATSEP_CHECK(it != domain_cache_.end() && *it == v);
-      domain_cache_.erase(it);
-    }
-    ReindexDomainCache();
-  }
+  OnMutation(0 - FactContentHash(fact));  // wraparound subtraction
+  CompleteDelta(delta);
   return delta;
 }
 
@@ -369,27 +243,26 @@ const std::vector<Value>& Database::domain() const {
   // Double-checked locking: the release store below pairs with this acquire
   // load, so a reader that observes `true` also observes the built caches;
   // cold concurrent readers serialize on the mutex and build once.
-  if (!domain_cache_valid_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (!domain_cache_valid_.load(std::memory_order_relaxed)) {
-      domain_cache_.clear();
-      domain_index_cache_.assign(value_names_.size(), kNoDomainIndex);
-      for (Value v = 0; v < in_domain_.size(); ++v) {
-        if (in_domain_[v]) {
-          domain_index_cache_[v] =
-              static_cast<std::uint32_t>(domain_cache_.size());
-          domain_cache_.push_back(v);
-        }
+  if (!caches_.domain_valid.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(caches_.mutex);
+    if (!caches_.domain_valid.load(std::memory_order_relaxed)) {
+      caches_.domain.clear();
+      caches_.domain_index.assign(value_names_.size(), kNoDomainIndex);
+      for (Value v = 0; v < facts_by_value_.size(); ++v) {
+        if (facts_by_value_[v].empty()) continue;
+        caches_.domain_index[v] =
+            static_cast<std::uint32_t>(caches_.domain.size());
+        caches_.domain.push_back(v);
       }
-      domain_cache_valid_.store(true, std::memory_order_release);
+      caches_.domain_valid.store(true, std::memory_order_release);
     }
   }
-  return domain_cache_;
+  return caches_.domain;
 }
 
 const std::vector<std::uint32_t>& Database::domain_index() const {
   domain();  // Rebuilds both caches when stale.
-  return domain_index_cache_;
+  return caches_.domain_index;
 }
 
 namespace {
@@ -412,13 +285,13 @@ const SvoBitset& Database::PositionBitsets::diagonal(RelationId relation,
 }
 
 const Database::PositionBitsets& Database::position_bitsets() const {
-  if (!bitsets_valid_.load(std::memory_order_acquire)) {
-    // domain() takes cache_mutex_ itself, so warm it before locking.
+  if (!caches_.bitsets_valid.load(std::memory_order_acquire)) {
+    // domain() takes the cache mutex itself, so warm it before locking.
     const std::vector<std::uint32_t>& index = domain_index();
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (!bitsets_valid_.load(std::memory_order_relaxed)) {
-      PositionBitsets& bits = bitsets_cache_;
-      const std::size_t ndom = domain_cache_.size();
+    std::lock_guard<std::mutex> lock(caches_.mutex);
+    if (!caches_.bitsets_valid.load(std::memory_order_relaxed)) {
+      PositionBitsets& bits = caches_.bitsets;
+      const std::size_t ndom = caches_.domain.size();
       bits.relpos_base_.assign(schema_->size() + 1, 0);
       bits.pair_base_.assign(schema_->size(), 0);
       std::uint32_t pairs = 0;
@@ -443,16 +316,16 @@ const Database::PositionBitsets& Database::position_bitsets() const {
           }
         }
       }
-      bitsets_valid_.store(true, std::memory_order_release);
+      caches_.bitsets_valid.store(true, std::memory_order_release);
     }
   }
-  return bitsets_cache_;
+  return caches_.bitsets;
 }
 
 std::uint64_t Database::ContentDigest() const {
-  if (!digest_valid_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (!digest_valid_.load(std::memory_order_relaxed)) {
+  if (!caches_.digest_valid.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(caches_.mutex);
+    if (!caches_.digest_valid.load(std::memory_order_relaxed)) {
       // Explicit FNV-1a-64 over canonical bytes — the exact format is a
       // persistence contract (DESIGN.md §13) pinned by golden values in
       // DatabaseDigestTest; it must never drift. In particular no part of
@@ -484,19 +357,19 @@ std::uint64_t Database::ContentDigest() const {
       // wrap-around u64 addition so the digest is insensitive to insertion
       // order; facts are deduplicated, so the sum is over a set. The
       // commutative-sum form is also what makes the digest incrementally
-      // maintainable: InsertFact/RemoveFact patch it by adding/subtracting
-      // one FactContentHash instead of re-folding the whole database.
+      // maintainable: a mutation patches it by adding/subtracting one
+      // FactContentHash instead of re-folding the whole database.
       std::uint64_t facts_hash = 0;
       for (const Fact& fact : facts_) {
         facts_hash += FactContentHash(fact);
       }
-      digest_schema_hash_ = schema_hash;
-      digest_facts_hash_ = facts_hash;
-      digest_cache_ = ComposeDigest();
-      digest_valid_.store(true, std::memory_order_release);
+      caches_.digest_schema_hash = schema_hash;
+      caches_.digest_facts_hash = facts_hash;
+      caches_.digest = ComposeDigest();
+      caches_.digest_valid.store(true, std::memory_order_release);
     }
   }
-  return digest_cache_;
+  return caches_.digest;
 }
 
 std::uint64_t Database::FactContentHash(const Fact& fact) const {
@@ -510,17 +383,10 @@ std::uint64_t Database::FactContentHash(const Fact& fact) const {
 
 std::uint64_t Database::ComposeDigest() const {
   std::uint64_t digest = kFnv64OffsetBasis;
-  digest = Fnv1a64U64(digest, digest_schema_hash_);
-  digest = Fnv1a64U64(digest, digest_facts_hash_);
+  digest = Fnv1a64U64(digest, caches_.digest_schema_hash);
+  digest = Fnv1a64U64(digest, caches_.digest_facts_hash);
   digest = Fnv1a64U64(digest, static_cast<std::uint64_t>(facts_.size()));
   return digest;
-}
-
-void Database::ReindexDomainCache() const {
-  domain_index_cache_.assign(value_names_.size(), kNoDomainIndex);
-  for (std::size_t i = 0; i < domain_cache_.size(); ++i) {
-    domain_index_cache_[domain_cache_[i]] = static_cast<std::uint32_t>(i);
-  }
 }
 
 std::uint32_t Database::DomainIndexOf(Value value) const {
@@ -529,7 +395,7 @@ std::uint32_t Database::DomainIndexOf(Value value) const {
 }
 
 bool Database::InDomain(Value value) const {
-  return value < in_domain_.size() && in_domain_[value];
+  return value < facts_by_value_.size() && !facts_by_value_[value].empty();
 }
 
 std::vector<Value> Database::Entities() const {

@@ -9,6 +9,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "relational/fact.h"
@@ -64,26 +65,22 @@ struct Delta {
 /// locking on a per-database mutex).
 ///
 /// Mutation contract (pinned by DatabaseMutationContractTest under tsan):
-/// mutating while ANY other thread reads the database — or dereferences a
-/// reference previously returned by an accessor — is a data race and a
-/// programmer error; the mutators patch the memoized caches in place, so a
-/// concurrently held `domain()`/`domain_index()` reference observes the
-/// write. The safe pattern is epoch-style: readers (any number of threads)
-/// finish and establish a happens-before edge to the mutator (e.g. a join
-/// or a task-queue handoff), the mutator applies InsertFact/RemoveFact
-/// exclusively, then readers resume — re-fetching references, never reusing
-/// pre-mutation ones. Caches stay warm across the epoch boundary: the
-/// mutators patch rather than drop them whenever possible. The exception is
-/// `position_bitsets()`, which every mutation resets; it is rebuilt by the
-/// next search into the database.
+/// a mutation drops every lazy index — `domain()`, `domain_index()` and
+/// `position_bitsets()` — and the next reader rebuilds it; only the content
+/// digest survives, patched in O(fact) when it is memoized. Mutating while
+/// any other thread reads the database, or dereferences a reference an
+/// accessor returned, is a data race and a programmer error. The safe
+/// pattern is epoch-style: readers finish and establish a happens-before
+/// edge to the mutator (a join or a task-queue handoff), the mutator runs
+/// exclusively, then readers resume and re-fetch their references.
 class Database {
  public:
   explicit Database(std::shared_ptr<const Schema> schema);
 
-  Database(const Database& other);
-  Database& operator=(const Database& other);
-  Database(Database&& other) noexcept;
-  Database& operator=(Database&& other) noexcept;
+  Database(const Database& other) = default;
+  Database& operator=(const Database& other) = default;
+  Database(Database&& other) noexcept = default;
+  Database& operator=(Database&& other) noexcept = default;
 
   const Schema& schema() const { return *schema_; }
   const std::shared_ptr<const Schema>& schema_ptr() const { return schema_; }
@@ -110,14 +107,11 @@ class Database {
   bool AddFact(std::string_view relation_name,
                const std::vector<std::string>& arg_names);
 
-  /// Mutation API for delta maintenance (DESIGN.md §14). Semantically
-  /// InsertFact is AddFact; both return a structured Delta describing the
-  /// change, and both *force* the content digest to be memoized so it can
-  /// be patched incrementally: the first mutation on a database pays one
-  /// full digest pass, every further one costs O(fact) digest work. The
-  /// memoized domain()/domain_index() caches are likewise patched in place
-  /// when they are warm (insertion into / deletion from the sorted domain),
-  /// or left invalid when they never were built.
+  /// Mutation API for delta maintenance (DESIGN.md §14). InsertFact is
+  /// AddFact returning a structured Delta of the change. Both delta
+  /// mutators *force* the content digest to be memoized so it is patched
+  /// rather than re-folded: the first one on a database pays one full
+  /// digest pass, every further mutation costs O(fact) digest work.
   Delta InsertFact(RelationId relation, std::vector<Value> args);
 
   /// Removes the fact if present (no-op delta otherwise). Remaining facts
@@ -195,8 +189,8 @@ class Database {
   };
 
   /// The position bitsets of this database. Built lazily from one pass over
-  /// the facts, reset by every mutation and not carried by copies, and like
-  /// domain() safe to hit cold from concurrent readers.
+  /// the facts, dropped by every mutation and not carried by copies, and
+  /// like domain() safe to hit cold from concurrent readers.
   const PositionBitsets& position_bitsets() const;
 
   /// Content digest: explicit FNV-1a-64 over canonical bytes of the schema
@@ -227,27 +221,56 @@ class Database {
   bool IsEntity(Value value) const;
 
  private:
-  // Core insertion shared by AddFact and InsertFact: dedups, appends to all
-  // indexes, updates in_domain_. Does NOT touch the lazy-cache validity
-  // flags — callers decide between invalidating (AddFact) and patching
-  // (InsertFact). Records the distinct argument values in `touched` and the
-  // values that newly entered dom(D) in `entered` when non-null.
-  bool ApplyInsert(RelationId relation, std::vector<Value> args,
-                   std::vector<Value>* touched, std::vector<Value>* entered);
+  // The lazily built caches, their validity flags and the mutex guarding
+  // their construction: double-checked locking, where a `*_valid` flag is
+  // read with acquire ordering outside the mutex and published with release
+  // ordering after its cache is built, so cold concurrent readers are safe.
+  // Mutators clear the flags without the mutex (they have exclusive
+  // access). Copying and moving also require exclusive access to both
+  // sides, so they transfer the fields without locking: a copy carries the
+  // domain and the digest and starts with cold bitsets; a move takes
+  // everything and leaves its source cold.
+  struct LazyCaches {
+    LazyCaches() = default;
+    LazyCaches(const LazyCaches& other) { *this = other; }
+    LazyCaches(LazyCaches&& other) noexcept { *this = std::move(other); }
+    LazyCaches& operator=(const LazyCaches& other);
+    LazyCaches& operator=(LazyCaches&& other) noexcept;
+
+    std::mutex mutex;
+    std::vector<Value> domain;
+    std::vector<std::uint32_t> domain_index;
+    std::atomic<bool> domain_valid{false};
+    PositionBitsets bitsets;
+    std::atomic<bool> bitsets_valid{false};
+    // ContentDigest() and the two parts it is composed from: the schema
+    // part is immutable and the facts part is a wraparound sum of per-fact
+    // hashes, so a mutation patches it with += / -= FactContentHash.
+    std::uint64_t digest = 0;
+    std::uint64_t digest_schema_hash = 0;
+    std::uint64_t digest_facts_hash = 0;
+    std::atomic<bool> digest_valid{false};
+  };
+
+  // Every mutator ends here: drops domain(), domain_index() and
+  // position_bitsets(), and adds `facts_hash_change` (wraparound) to the
+  // facts part of a memoized digest, the only memo a mutation patches.
+  void OnMutation(std::uint64_t facts_hash_change);
+
+  // A no-op Delta of `kind` on relation(args), with the digest memoized and
+  // recorded on both sides.
+  Delta BeginDelta(Delta::Kind kind, RelationId relation,
+                   const std::vector<Value>& args) const;
+
+  // Marks `delta` applied and fills its footprint and new digest.
+  void CompleteDelta(Delta& delta) const;
 
   // The per-fact FNV-1a-64 hash folded (by wraparound addition) into the
   // facts part of ContentDigest().
   std::uint64_t FactContentHash(const Fact& fact) const;
 
   // Recombines the memoized digest parts with the current fact count.
-  // Requires digest_schema_hash_/digest_facts_hash_ to be populated (i.e.
-  // ContentDigest() ran at least once and mutations kept them patched).
   std::uint64_t ComposeDigest() const;
-
-  // Rebuilds domain_index_cache_ from domain_cache_ after a sorted
-  // insert/erase patch (O(num_values), vs. re-deriving domain_cache_ from
-  // scratch which the DCL slow path does).
-  void ReindexDomainCache() const;
 
   std::shared_ptr<const Schema> schema_;
 
@@ -258,31 +281,13 @@ class Database {
   std::unordered_set<Fact, FactHash> fact_set_;
 
   std::vector<std::vector<FactIndex>> facts_by_relation_;
+  // Also the record of dom(D): a value is in the domain iff its list is
+  // non-empty.
   std::vector<std::vector<FactIndex>> facts_by_value_;
   // Keyed by (relation, pos) -> value -> fact indexes.
   std::vector<std::vector<PositionIndex>> facts_by_position_;
 
-  // Lazily built caches, guarded by `cache_mutex_` under double-checked
-  // locking: the `*_valid_` flag is read with acquire ordering outside the
-  // mutex and published with release ordering after the cache is built, so
-  // cold concurrent readers are safe. Mutators reset the flags (they
-  // already require exclusive access).
-  mutable std::mutex cache_mutex_;
-  mutable std::vector<Value> domain_cache_;
-  mutable std::vector<std::uint32_t> domain_index_cache_;
-  mutable std::atomic<bool> domain_cache_valid_{false};
-  mutable PositionBitsets bitsets_cache_;
-  mutable std::atomic<bool> bitsets_valid_{false};
-  mutable std::uint64_t digest_cache_ = 0;
-  // The two components ContentDigest() is composed from, memoized alongside
-  // it so the mutation API can patch the digest in O(fact): the schema part
-  // is immutable, the facts part is a wraparound sum of per-fact hashes, so
-  // insert/remove is += / -= of FactContentHash. Meaningful only while
-  // digest_valid_ is true.
-  mutable std::uint64_t digest_schema_hash_ = 0;
-  mutable std::uint64_t digest_facts_hash_ = 0;
-  mutable std::atomic<bool> digest_valid_{false};
-  std::vector<bool> in_domain_;
+  mutable LazyCaches caches_;
 };
 
 /// Builds a database over a fresh single-use schema copy that shares

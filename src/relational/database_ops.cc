@@ -84,12 +84,4 @@ Database DisjointUnion(const Database& a, const Database& b,
   return result;
 }
 
-Database Copy(const Database& db) {
-  Database result = EmptyWithSameValues(db);
-  for (const Fact& fact : db.facts()) {
-    result.AddFact(fact.relation, fact.args);
-  }
-  return result;
-}
-
 }  // namespace featsep

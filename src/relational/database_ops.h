@@ -29,9 +29,6 @@ Database DisjointUnion(const Database& a, const Database& b,
                        const std::string& b_suffix,
                        std::vector<Value>* b_value_map = nullptr);
 
-/// Copies `db` (same schema, same value names and ids, same facts).
-Database Copy(const Database& db);
-
 }  // namespace featsep
 
 #endif  // FEATSEP_RELATIONAL_DATABASE_OPS_H_

@@ -293,12 +293,53 @@ void ShrinkDbPair(FuzzInstance* instance, const FuzzFails& fails) {
   }
 }
 
+/// Adds to `from` a fact whose positions p1 < p2 repeat one value and to
+/// `to` a fact of the same relation with the same repeat pattern, so the
+/// target's diagonal at (p1, p2) decides where the repeated value maps. The
+/// other positions take distinct values. Uses interned values only, so the
+/// oracle's value counts stay within budget, and drops a full database's
+/// last fact first, so the planted fact survives the reload trim to
+/// `max_facts`. No-op without a relation of arity two or more.
+void PlantRepeatedValue(WorkloadRng& rng, std::size_t max_facts,
+                        Database& from, Database& to) {
+  const Schema& schema = from.schema();
+  std::vector<RelationId> wide;
+  for (RelationId r = 0; r < schema.size(); ++r) {
+    if (schema.arity(r) >= 2) wide.push_back(r);
+  }
+  if (wide.empty()) return;
+  const RelationId relation = wide[rng.Below(wide.size())];
+  const std::size_t arity = schema.arity(relation);
+  const std::size_t p1 = rng.Below(arity - 1);
+  const std::size_t p2 = p1 + 1 + rng.Below(arity - p1 - 1);
+  for (Database* db : {&from, &to}) {
+    if (db->size() >= max_facts) {
+      *db = FilterFacts(*db, [](const Fact&) { return true; }, max_facts - 1);
+    }
+    const std::size_t n = db->num_values();
+    std::size_t next = rng.Below(n);
+    std::vector<Value> args;
+    for (std::size_t p = 0; p < arity; ++p) {
+      args.push_back(p == p2 ? args[p1] : static_cast<Value>(next++ % n));
+    }
+    db->AddFact(relation, std::move(args));
+  }
+}
+
 void GenerateHom(WorkloadRng& rng, FuzzInstance* instance) {
   instance->schema = PickSchema(rng, 3, /*need_entity=*/false);
   Database to = PickDatabase(instance->schema, rng, 5, 12);
   std::size_t from_values =
       BoundedExponent(std::max<std::size_t>(to.domain().size(), 2), 7);
   Database from = PickDatabase(instance->schema, rng, from_values, 12);
+  if (rng.Chance(0.3)) {
+    // Half the time the planted fact is the whole source, so a
+    // homomorphism exists and only the diagonal decides the search.
+    if (rng.Chance(0.5)) {
+      from = FilterFacts(from, [](const Fact&) { return false; }, 0);
+    }
+    PlantRepeatedValue(rng, 12, from, to);
+  }
   if (rng.Chance(0.3) && !from.domain().empty() && !to.domain().empty()) {
     // Mostly well-formed seed pairs, sometimes stale ids to exercise the
     // free-seed and out-of-domain paths.
@@ -343,10 +384,20 @@ void SanitizeHom(FuzzInstance* instance) {
     instance->hom_seed.clear();
     return;
   }
+  // A seeded value the trims left isolated becomes the stale id
+  // num_values(), which is what a reload makes of a name in no fact, so the
+  // text reaches its fixed point after one round trip.
+  auto stale_if_isolated = [](const Database& db, Value& v) {
+    if (v < db.num_values() && !db.InDomain(v)) {
+      v = static_cast<Value>(db.num_values());
+    }
+  };
   // Stale seed ids are a feature, but keep them within the window the
   // generator uses (num_values + 3) so shrinking stays meaningful.
   std::vector<std::pair<Value, Value>> kept;
   for (auto& [source, image] : instance->hom_seed) {
+    stale_if_isolated(*instance->db_a, source);
+    stale_if_isolated(*instance->db_b, image);
     if (source < instance->db_a->num_values() + 3 &&
         image < instance->db_b->num_values() + 3) {
       kept.emplace_back(source, image);

@@ -4,7 +4,6 @@
 
 #include "core/ghw_separability.h"
 #include "core/separability.h"
-#include "relational/database_ops.h"
 #include "test_util.h"
 #include "testing/coverage.h"
 
@@ -133,7 +132,7 @@ TEST(GhwApxClassifyTest, MatchesDecideRelabelTrainClassify) {
       if (!labeling.has_value()) continue;
       GhwRelabelResult relabel = GhwOptimalRelabel(*training, 1);
       auto relabeled = std::make_shared<TrainingDatabase>(
-          std::make_shared<Database>(Copy(db)));
+          std::make_shared<Database>(db));
       for (Value e : training->Entities()) {
         relabeled->SetLabel(e, relabel.relabeled.Get(e));
       }
@@ -171,7 +170,7 @@ TEST(GhwApxClassifyTest, BuildsTheStructureOnce) {
     const Database& db = training->database();
     GhwRelabelResult relabel = GhwOptimalRelabel(*training, 1);
     auto relabeled = std::make_shared<TrainingDatabase>(
-        std::make_shared<Database>(Copy(db)));
+        std::make_shared<Database>(db));
     for (Value e : training->Entities()) {
       relabeled->SetLabel(e, relabel.relabeled.Get(e));
     }

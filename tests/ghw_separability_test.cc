@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/separability.h"
-#include "relational/database_ops.h"
 #include "test_util.h"
 
 namespace featsep {
@@ -232,8 +231,7 @@ TEST(GhwApxTest, Algorithm2IsOptimalAgainstExhaustiveSearch) {
   std::size_t brute_best = entities.size() + 1;
   std::size_t n = entities.size();
   for (std::uint64_t mask = 0; mask < (1ULL << n); ++mask) {
-    auto db2 = std::make_shared<Database>(
-        Copy(training->database()));
+    auto db2 = std::make_shared<Database>(training->database());
     TrainingDatabase candidate(db2);
     std::size_t disagreement = 0;
     for (std::size_t i = 0; i < n; ++i) {

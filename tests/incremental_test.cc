@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@ using ::featsep::testing::AddEntity;
 using ::featsep::testing::GraphSchema;
 using ::featsep::testing::MakeWorld;
 using ::featsep::testing::OutInFeatures;
+using ::featsep::testing::Rebuild;
 using serve::AffectedEntities;
 using serve::DeltaMaintenance;
 using serve::EvalService;
@@ -31,19 +33,6 @@ using serve::FeatureAnswer;
 using serve::IncrementalMaintainer;
 using serve::IncrementalSeparability;
 using serve::ServeOptions;
-
-/// A from-scratch rebuild of `db` with identical interning and fact order:
-/// equal content, completely cold caches.
-Database Rebuild(const Database& db) {
-  Database fresh(db.schema_ptr());
-  for (std::size_t v = 0; v < db.num_values(); ++v) {
-    fresh.Intern(db.value_name(static_cast<Value>(v)));
-  }
-  for (const Fact& fact : db.facts()) {
-    fresh.AddFact(fact.relation, fact.args);
-  }
-  return fresh;
-}
 
 EvalService MakeSerialService(std::size_t cache_capacity) {
   ServeOptions options;
@@ -84,7 +73,7 @@ TEST(DeltaTest, DuplicateInsertIsNoOp) {
 TEST(DeltaTest, RemoveFactPatchesEverything) {
   Database db = MakeWorld();
   const std::uint64_t before = db.ContentDigest();
-  (void)db.domain();  // Warm the domain cache so the patch path runs.
+  (void)db.domain();  // A warm domain is dropped and rebuilt.
   Value u = db.FindValue("u");
   Value both = db.FindValue("both");
   Delta delta = db.RemoveFact(db.schema().FindRelation("E"), {u, both});
@@ -141,18 +130,35 @@ TEST(DeltaTest, EntityOrderSurvivesRemoval) {
   EXPECT_EQ(db.value_name(entities[1]), "out");
 }
 
-TEST(DeltaTest, DomainPatchMatchesRebuildWhenWarm) {
+TEST(DeltaTest, DomainMatchesRebuildAfterMutation) {
   Database db = MakeWorld();
   (void)db.domain();
   (void)db.domain_index();
   Value fresh_value = db.Intern("zz-fresh");
-  Delta delta = db.InsertFact(db.schema().FindRelation("E"),
-                              {db.FindValue("both"), fresh_value});
+  const RelationId edge = db.schema().FindRelation("E");
+  const std::vector<Value> args = {db.FindValue("both"), fresh_value};
+  Delta delta = db.InsertFact(edge, args);
   ASSERT_TRUE(delta.applied);
   Database fresh = Rebuild(db);
   EXPECT_EQ(db.domain(), fresh.domain());
   EXPECT_EQ(db.domain_index(), fresh.domain_index());
   EXPECT_EQ(db.DomainIndexOf(fresh_value), fresh.DomainIndexOf(fresh_value));
+
+  // The value's last fact leaves, then comes back through AddFact: each
+  // step's domain is the one a cold rebuild computes.
+  for (bool present : {false, true}) {
+    if (present) {
+      ASSERT_TRUE(db.AddFact(edge, args));
+    } else {
+      ASSERT_TRUE(db.RemoveFact(edge, args).applied);
+    }
+    fresh = Rebuild(db);
+    EXPECT_EQ(db.InDomain(fresh_value), present);
+    EXPECT_EQ(fresh.InDomain(fresh_value), present);
+    EXPECT_EQ(db.domain(), fresh.domain());
+    EXPECT_EQ(db.domain_index(), fresh.domain_index());
+    EXPECT_EQ(db.ContentDigest(), fresh.ContentDigest());
+  }
 }
 
 /// Satellite property: ANY insert/delete sequence — including duplicate
@@ -423,45 +429,54 @@ TEST(IncrementalSeparabilityTest, RelabelIsSelfDetected) {
 
 /// Pins the mutation contract documented on Database (tsan enforces the
 /// absence-of-races half): readers of one epoch join, the mutator runs
-/// exclusively, readers of the next epoch re-fetch and observe caches that
-/// were PATCHED — equal to a fresh rebuild — not dropped.
-TEST(DatabaseMutationContractTest, EpochStyleMutationKeepsCachesWarm) {
+/// exclusively and drops every lazy index, and the readers of the next epoch
+/// re-fetch, racing to rebuild the cold indexes, and observe exactly what a
+/// fresh rebuild computes; the digest was patched, not dropped.
+TEST(DatabaseMutationContractTest, EpochStyleMutationRebuildsColdIndexes) {
   Database db = MakeWorld();
-  // Epoch 1: concurrent cold readers race to build every lazy cache.
-  {
-    std::atomic<std::uint64_t> sink{0};
-    std::vector<std::thread> readers;
-    for (int i = 0; i < 4; ++i) {
-      readers.emplace_back([&db, &sink] {
-        sink += db.ContentDigest();
-        sink += db.domain().size();
-        sink += db.domain_index().size();
-      });
-    }
-    for (std::thread& reader : readers) reader.join();
-  }
-  // Mutation epoch: exclusive access, established by the joins above.
-  Delta insert = db.InsertFact(db.schema().FindRelation("E"),
-                               {db.Intern("both"), db.Intern("fresh")});
-  ASSERT_TRUE(insert.applied);
-  Delta remove = db.RemoveFact(db.schema().FindRelation("E"),
-                               {db.FindValue("out"), db.FindValue("t")});
-  ASSERT_TRUE(remove.applied);
-  // Epoch 2: readers resume with fresh references; the patched caches are
-  // exactly what a cold rebuild computes.
-  Database fresh = Rebuild(db);
-  {
+  const RelationId edge = db.schema().FindRelation("E");
+  // One epoch of concurrent readers; each compares every lazy cache with
+  // `want` (null: only builds them).
+  auto read_epoch = [&db, edge](const Database* want) {
     std::atomic<int> mismatches{0};
     std::vector<std::thread> readers;
     for (int i = 0; i < 4; ++i) {
-      readers.emplace_back([&db, &fresh, &mismatches] {
-        if (db.ContentDigest() != fresh.ContentDigest()) ++mismatches;
-        if (db.domain() != fresh.domain()) ++mismatches;
-        if (db.domain_index() != fresh.domain_index()) ++mismatches;
+      readers.emplace_back([&db, edge, want, &mismatches] {
+        const std::uint64_t digest = db.ContentDigest();
+        const std::vector<Value>& domain = db.domain();
+        const std::vector<std::uint32_t>& index = db.domain_index();
+        const std::size_t out_degree =
+            db.position_bitsets().at(edge, 0).count();
+        if (want == nullptr) return;
+        if (digest != want->ContentDigest()) ++mismatches;
+        if (domain != want->domain()) ++mismatches;
+        if (index != want->domain_index()) ++mismatches;
+        if (out_degree != want->position_bitsets().at(edge, 0).count()) {
+          ++mismatches;
+        }
       });
     }
     for (std::thread& reader : readers) reader.join();
-    EXPECT_EQ(mismatches.load(), 0);
+    return mismatches.load();
+  };
+  // Epoch 1: concurrent cold readers race to build every lazy cache.
+  read_epoch(nullptr);
+  // Each mutation epoch has exclusive access, established by the joins.
+  // Values enter and leave dom(D): "fresh" enters, the second removal takes
+  // the last fact of "t", and the last insert brings "t" back.
+  const std::vector<std::pair<bool, std::vector<Value>>> mutations = {
+      {true, {db.Intern("both"), db.Intern("fresh")}},
+      {false, {db.FindValue("out"), db.FindValue("t")}},
+      {false, {db.FindValue("both"), db.FindValue("t")}},
+      {true, {db.FindValue("fresh"), db.FindValue("t")}},
+  };
+  for (const auto& [insert, args] : mutations) {
+    Delta delta =
+        insert ? db.InsertFact(edge, args) : db.RemoveFact(edge, args);
+    ASSERT_TRUE(delta.applied);
+    // The next epoch's readers rebuild the cold indexes concurrently.
+    const Database fresh = Rebuild(db);
+    EXPECT_EQ(read_epoch(&fresh), 0);
   }
 }
 

@@ -65,6 +65,22 @@ TEST(ReaderTest, RejectsBadLabels) {
                    .ok());
 }
 
+TEST(ReaderTest, RejectsASecondLabelLineForAnEntity) {
+  for (const char* second : {"label e -\n", "label e +\n"}) {
+    auto result = ReadTrainingDatabase(std::string("relation Eta 1 entity\n"
+                                                   "Eta(e)\n"
+                                                   "Eta(f)\n"
+                                                   "label e +\n"
+                                                   "label f -\n") +
+                                       second);
+    ASSERT_FALSE(result.ok()) << second;
+    EXPECT_NE(result.error().message().find("line 6"), std::string::npos)
+        << result.error().message();
+    EXPECT_NE(result.error().message().find("line 4"), std::string::npos)
+        << result.error().message();
+  }
+}
+
 TEST(ReaderTest, RejectsSecondEntityRelation) {
   EXPECT_FALSE(ReadTrainingDatabase("relation Eta 1 entity\n"
                                     "relation Eta2 1 entity\n")

@@ -83,5 +83,19 @@ TEST(ModelIoTest, Errors) {
   EXPECT_TRUE(ReadSeparatorModel(schema, "threshold 0\n").ok());
 }
 
+TEST(ModelIoTest, RejectsASecondThresholdLine) {
+  auto schema = GraphSchema();
+  auto result = ReadSeparatorModel(schema,
+                                   "feature q(x) :- Eta(x)\n"
+                                   "threshold 0\n"
+                                   "weight 1\n"
+                                   "threshold 1\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().message().find("line 4"), std::string::npos)
+      << result.error().message();
+  EXPECT_NE(result.error().message().find("line 2"), std::string::npos)
+      << result.error().message();
+}
+
 }  // namespace
 }  // namespace featsep

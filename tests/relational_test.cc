@@ -20,6 +20,7 @@ namespace {
 
 using ::featsep::testing::AddEntity;
 using ::featsep::testing::GraphSchema;
+using ::featsep::testing::Rebuild;
 
 TEST(SchemaTest, AddAndLookup) {
   Schema schema;
@@ -187,11 +188,19 @@ TEST(DatabaseOpsTest, CopyPreservesEverything) {
   Database db(GraphSchema());
   AddEntity(db, "e");
   db.AddFact("E", {"e", "f"});
-  Database copy = Copy(db);
+  (void)db.ContentDigest();  // A copy carries the memoized digest.
+  Database copy(db);
   EXPECT_EQ(copy.size(), db.size());
   EXPECT_EQ(copy.num_values(), db.num_values());
   EXPECT_EQ(copy.FindValue("e"), db.FindValue("e"));
   EXPECT_TRUE(copy.IsEntity(copy.FindValue("e")));
+  EXPECT_EQ(copy.facts(), db.facts());
+  EXPECT_EQ(copy.domain(), db.domain());
+  EXPECT_EQ(copy.ContentDigest(), db.ContentDigest());
+  // The copy's patched digest tracks its own mutations, not the source's.
+  copy.AddFact("E", {"f", "e"});
+  EXPECT_EQ(copy.ContentDigest(), Rebuild(copy).ContentDigest());
+  EXPECT_NE(copy.ContentDigest(), db.ContentDigest());
 }
 
 TEST(DatabaseDigestTest, OrderAndInterningInsensitive) {
@@ -219,8 +228,27 @@ TEST(DatabaseDigestTest, DistinguishesContentAndTracksMutation) {
 
   std::uint64_t before = a.ContentDigest();
   a.AddFact("E", {"y", "x"});
-  EXPECT_NE(a.ContentDigest(), before);  // AddFact invalidates the memo.
-  EXPECT_EQ(Copy(a).ContentDigest(), a.ContentDigest());
+  EXPECT_NE(a.ContentDigest(), before);  // AddFact patches the memo.
+  EXPECT_EQ(Database(a).ContentDigest(), a.ContentDigest());
+
+  // Every interleaving of AddFact, InsertFact and RemoveFact on a memoized
+  // digest leaves it equal to a fresh fold of the same content.
+  const RelationId e = a.schema().FindRelation("E");
+  const Value x = a.FindValue("x");
+  const Value y = a.FindValue("y");
+  const Value z = a.Intern("z");
+  for (int step = 0; step < 8; ++step) {
+    const std::vector<Value> args = {step % 2 == 0 ? z : x,
+                                     step % 3 == 0 ? y : z};
+    switch (step % 3) {
+      case 0: a.AddFact(e, args); break;
+      case 1: a.InsertFact(e, args); break;
+      default: a.RemoveFact(e, args); break;
+    }
+    a.AddFact(e, {y, step % 2 == 0 ? y : z});
+    ASSERT_EQ(a.ContentDigest(), Rebuild(a).ContentDigest())
+        << "step " << step;
+  }
 }
 
 TEST(DatabaseDigestTest, GoldenValuesArePinnedForever) {
@@ -299,6 +327,19 @@ void ExpectBitsetsMatchScan(const Database& db) {
   }
 }
 
+// Compares domain(), domain_index(), InDomain and the patched digest with a
+// cold rebuild of the same content.
+void ExpectCachesMatchRebuild(const Database& db) {
+  const Database fresh = Rebuild(db);
+  EXPECT_EQ(db.domain(), fresh.domain());
+  EXPECT_EQ(db.domain_index(), fresh.domain_index());
+  EXPECT_EQ(db.ContentDigest(), fresh.ContentDigest());
+  for (Value v = 0; v < db.num_values(); ++v) {
+    EXPECT_EQ(db.InDomain(v), fresh.DomainIndexOf(v) != Database::kNoDomainIndex)
+        << db.value_name(v);
+  }
+}
+
 // Random AddFact/InsertFact/RemoveFact/Intern steps over a few values, so
 // values enter and leave dom(D) and loops and diagonals come and go.
 void MutateRandomly(Database& db, std::mt19937& rng, int steps) {
@@ -323,7 +364,10 @@ void MutateRandomly(Database& db, std::mt19937& rng, int steps) {
       }
       default: db.Intern("w" + std::to_string(step)); break;
     }
-    if (rng() % 2 == 0) ExpectBitsetsMatchScan(db);
+    if (rng() % 2 == 0) {
+      ExpectBitsetsMatchScan(db);
+      ExpectCachesMatchRebuild(db);
+    }
   }
 }
 

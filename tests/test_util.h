@@ -131,6 +131,19 @@ inline Database MakeWorldReordered() {
   return db;
 }
 
+/// A from-scratch rebuild of `db` with identical interning and fact order:
+/// equal content and value ids, completely cold caches.
+inline Database Rebuild(const Database& db) {
+  Database fresh(db.schema_ptr());
+  for (std::size_t v = 0; v < db.num_values(); ++v) {
+    fresh.Intern(db.value_name(static_cast<Value>(v)));
+  }
+  for (const Fact& fact : db.facts()) {
+    fresh.AddFact(fact.relation, fact.args);
+  }
+  return fresh;
+}
+
 /// Two entities, one edge, opposite labels: trivially separable, small
 /// enough that every procedure finishes instantly when unbudgeted.
 inline TrainingDatabase SmallTraining() {
