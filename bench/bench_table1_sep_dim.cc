@@ -1,11 +1,14 @@
 // Experiments T1.d/e/f — Table 1, row L-SEP[ℓ] (bounded dimension).
 //
 //   T1.d (CQ-SEP[ℓ], coNEXPTIME-c.): the guess-and-check test of Lemma 6.3
-//        drives a QBE oracle whose canonical product has |D|^{|S+|} facts —
-//        the series shows the oracle cost exploding with the positive-set
-//        size while |D| stays fixed.
-//   T1.e (GHW(k)-SEP[ℓ], EXPTIME-c.): same products, judged by the cover
-//        game instead of homomorphism.
+//        drives a QBE oracle on the product of the positives, which has
+//        |D|^{|S+|} facts. The solver folds the positives two at a time and
+//        cores each step, so on this world the largest product it builds
+//        (product_facts) stops growing after the second positive and the
+//        cost grows roughly linearly in |S+|; the exponential worst case
+//        needs positives whose cores stay large (bench_thm67_blowup).
+//   T1.e (GHW(k)-SEP[ℓ], EXPTIME-c.): same cored products, judged by the
+//        cover game instead of homomorphism.
 //   T1.f (CQ[m]-SEP[*], NP-c. via Prop 6.9): vertex-cover reductions —
 //        exponential growth in the number of entities/bipartitions even
 //        though every oracle call is cheap.

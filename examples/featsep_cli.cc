@@ -190,9 +190,7 @@ int CmdQbe(const std::string& path, const std::vector<std::string>& marks) {
   }
   if (instance.positives.empty()) return Fail("need at least one +example");
 
-  QbeOptions options;
-  options.minimize_explanation = true;
-  QbeResult result = SolveCqQbe(instance, options);
+  QbeResult result = SolveCqQbe(instance);
   if (!result.exists) {
     std::printf("no conjunctive query explains this selection\n");
     return 0;

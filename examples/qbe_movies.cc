@@ -24,9 +24,7 @@ void Explain(const featsep::Database& db,
     instance.negatives.push_back(db.FindValue(name));
   }
 
-  QbeOptions options;
-  options.minimize_explanation = true;  // Core-minimize the product query.
-  QbeResult result = SolveCqQbe(instance, options);
+  QbeResult result = SolveCqQbe(instance);  // Returns the product's core.
 
   std::printf("%s\n", description.c_str());
   std::printf("  S+ = {");
@@ -38,7 +36,8 @@ void Explain(const featsep::Database& db,
     std::printf("%s%s", i ? ", " : "", negatives[i].c_str());
   }
   std::printf("}\n");
-  std::printf("  canonical product: %zu facts\n", result.product_facts);
+  std::printf("  largest product in the fold: %zu facts\n",
+              result.product_facts);
   if (result.exists) {
     std::printf("  explanation: %s\n",
                 result.explanation->ToString().c_str());

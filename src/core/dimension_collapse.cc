@@ -33,22 +33,17 @@ EntitySetFamily CqDefinableEntitySets(const Database& db,
 
   std::set<std::vector<Value>> sets;
 
-  // Nonempty definable sets: up-closures of products of entity subsets.
+  // Nonempty definable sets: up-closures of products of entity subsets,
+  // each built as its core.
   for (std::uint64_t mask = 1; mask < (1ULL << n); ++mask) {
-    std::vector<const Database*> factors;
-    std::vector<std::vector<Value>> tuples;
+    std::vector<Value> points;
     for (std::size_t i = 0; i < n; ++i) {
-      if ((mask >> i) & 1) {
-        factors.push_back(&db);
-        tuples.push_back({entities[i]});
-      }
+      if ((mask >> i) & 1) points.push_back(entities[i]);
     }
-    auto product = DirectProduct(factors, tuples, max_product_facts);
-    FEATSEP_CHECK(product.has_value())
-        << "product exceeds max_product_facts";
+    CoredProduct product = *FoldCoredProduct(db, points, max_product_facts);
     std::vector<Value> definable;
     for (Value e : entities) {
-      if (HomomorphismExists(product->db, db, {{product->tuple[0], e}})) {
+      if (HomomorphismExists(product.db, db, {{product.point, e}})) {
         definable.push_back(e);
       }
     }

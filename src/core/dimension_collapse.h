@@ -24,9 +24,10 @@ using EntitySetFamily = std::vector<std::vector<Value>>;
 /// unsatisfiable atom patterns (all-equal tuples per relation), which
 /// covers the workloads here — see the .cc for the caveat.
 ///
-/// Exponential in |η(D)| (2^n products, each up to |D|^|S| facts):
-/// intended for the small witness databases of Section 8. CHECK-fails
-/// beyond `max_product_facts` per product.
+/// Exponential in |η(D)| (2^n products, each folded two factors at a time
+/// and cored after each step, FoldCoredProduct): intended for the small
+/// witness databases of Section 8. CHECK-fails beyond `max_product_facts`
+/// per fold step.
 EntitySetFamily CqDefinableEntitySets(const Database& db,
                                       std::size_t max_product_facts = 500000);
 

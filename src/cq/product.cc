@@ -1,129 +1,90 @@
 #include "cq/product.h"
 
-#include <string>
+#include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 #include <utility>
 
+#include "cq/core.h"
 #include "util/check.h"
-#include "util/hash.h"
 
 namespace featsep {
 
-namespace {
+std::optional<ProductResult> DirectProduct(const Database& a,
+                                           const std::vector<Value>& a_tuple,
+                                           const Database& b,
+                                           const std::vector<Value>& b_tuple,
+                                           std::size_t max_facts) {
+  const Schema& schema = a.schema();
+  FEATSEP_CHECK(b.schema() == schema) << "product factors must share a schema";
+  FEATSEP_CHECK_EQ(a_tuple.size(), b_tuple.size())
+      << "distinguished tuples must have equal length";
 
-/// Interns the product value for a tuple of factor values, memoized.
-class ProductValueTable {
- public:
-  ProductValueTable(const std::vector<const Database*>& factors,
-                    Database* product)
-      : factors_(factors), product_(product) {}
-
-  Value Get(const std::vector<Value>& tuple) {
-    auto it = table_.find(tuple);
-    if (it != table_.end()) return it->second;
-    std::string name;
-    for (std::size_t i = 0; i < tuple.size(); ++i) {
-      if (i > 0) name += "|";
-      name += factors_[i]->value_name(tuple[i]);
-    }
-    Value value = product_->Intern(name);
-    table_.emplace(tuple, value);
-    return value;
-  }
-
- private:
-  const std::vector<const Database*>& factors_;
-  Database* product_;
-  std::unordered_map<std::vector<Value>, Value, VectorHash<Value>> table_;
-};
-
-}  // namespace
-
-std::optional<ProductResult> DirectProduct(
-    const std::vector<const Database*>& factors,
-    const std::vector<std::vector<Value>>& distinguished,
-    std::size_t max_facts) {
-  FEATSEP_CHECK(!factors.empty());
-  FEATSEP_CHECK_EQ(factors.size(), distinguished.size());
-  const Schema& schema = factors[0]->schema();
-  for (const Database* factor : factors) {
-    FEATSEP_CHECK(factor->schema() == schema)
-        << "product factors must share a schema";
-  }
-  std::size_t tuple_len = distinguished[0].size();
-  for (const std::vector<Value>& tuple : distinguished) {
-    FEATSEP_CHECK_EQ(tuple.size(), tuple_len)
-        << "distinguished tuples must have equal length";
-  }
-
-  // Fact-count guard before materializing anything.
-  if (max_facts != 0) {
-    std::size_t total = 0;
-    for (RelationId rel = 0; rel < schema.size(); ++rel) {
-      std::size_t combinations = 1;
-      for (const Database* factor : factors) {
-        std::size_t count = factor->FactsOf(rel).size();
-        if (count == 0) {
-          combinations = 0;
-          break;
-        }
-        if (combinations > max_facts / count) {
-          return std::nullopt;  // Would overflow the budget (or size_t).
-        }
-        combinations *= count;
-      }
-      total += combinations;
-      if (total > max_facts) return std::nullopt;
-    }
-  }
-
-  ProductResult result{Database(factors[0]->schema_ptr()), {}};
-  ProductValueTable values(factors, &result.db);
-
-  // For each relation, enumerate the cartesian product of its fact lists.
+  // Fact-count guard before materializing anything. The count is at most
+  // |a|·|b|, which fits a size_t for any two databases that fit in memory.
+  std::size_t total = 0;
   for (RelationId rel = 0; rel < schema.size(); ++rel) {
-    std::size_t arity = schema.arity(rel);
-    bool empty = false;
-    for (const Database* factor : factors) {
-      if (factor->FactsOf(rel).empty()) {
-        empty = true;
-        break;
-      }
+    total += a.FactsOf(rel).size() * b.FactsOf(rel).size();
+  }
+  if (max_facts != 0 && total > max_facts) return std::nullopt;
+
+  ProductResult result{Database(a.schema_ptr()), {}};
+  // Interns the product value of the pair (x, y), memoized.
+  std::unordered_map<std::uint64_t, Value> values;
+  auto pair_value = [&](Value x, Value y) {
+    auto [it, inserted] =
+        values.try_emplace((std::uint64_t{x} << 32) | y, kNoValue);
+    if (inserted) {
+      it->second = result.db.Intern(a.value_name(x) + "|" + b.value_name(y));
     }
-    if (empty) continue;
+    return it->second;
+  };
 
-    std::vector<std::size_t> cursor(factors.size(), 0);
-    while (true) {
-      std::vector<Value> args(arity);
-      std::vector<Value> component(factors.size());
-      for (std::size_t pos = 0; pos < arity; ++pos) {
-        for (std::size_t i = 0; i < factors.size(); ++i) {
-          FactIndex fi = factors[i]->FactsOf(rel)[cursor[i]];
-          component[i] = factors[i]->fact(fi).args[pos];
+  for (RelationId rel = 0; rel < schema.size(); ++rel) {
+    for (FactIndex fa : a.FactsOf(rel)) {
+      const std::vector<Value>& a_args = a.fact(fa).args;
+      for (FactIndex fb : b.FactsOf(rel)) {
+        const std::vector<Value>& b_args = b.fact(fb).args;
+        std::vector<Value> args(a_args.size());
+        for (std::size_t pos = 0; pos < args.size(); ++pos) {
+          args[pos] = pair_value(a_args[pos], b_args[pos]);
         }
-        args[pos] = values.Get(component);
+        result.db.AddFact(rel, std::move(args));
       }
-      result.db.AddFact(rel, std::move(args));
-
-      // Advance the multi-index cursor.
-      std::size_t i = 0;
-      while (i < factors.size()) {
-        if (++cursor[i] < factors[i]->FactsOf(rel).size()) break;
-        cursor[i] = 0;
-        ++i;
-      }
-      if (i == factors.size()) break;
     }
   }
 
-  // Distinguished tuple.
-  result.tuple.reserve(tuple_len);
-  std::vector<Value> component(factors.size());
-  for (std::size_t pos = 0; pos < tuple_len; ++pos) {
-    for (std::size_t i = 0; i < factors.size(); ++i) {
-      component[i] = distinguished[i][pos];
-    }
-    result.tuple.push_back(values.Get(component));
+  result.tuple.reserve(a_tuple.size());
+  for (std::size_t pos = 0; pos < a_tuple.size(); ++pos) {
+    result.tuple.push_back(pair_value(a_tuple[pos], b_tuple[pos]));
+  }
+  return result;
+}
+
+std::optional<CoredProduct> FoldCoredProduct(const Database& db,
+                                             const std::vector<Value>& points,
+                                             std::size_t max_facts,
+                                             ExecutionBudget* budget) {
+  FEATSEP_CHECK(!points.empty()) << "a product needs at least one factor";
+  if (!RecheckBudget(budget)) return std::nullopt;
+  if (points.size() == 1) {
+    return CoredProduct{CoreOf(db, {points[0]}), points[0], db.size()};
+  }
+  // The first step multiplies (db, e₁) itself; later steps multiply the
+  // core of the product so far.
+  CoredProduct result{Database(db.schema_ptr()), points[0], 0};
+  const Database* left = &db;
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    if (i > 1 && !RecheckBudget(budget)) return std::nullopt;
+    std::optional<ProductResult> product =
+        DirectProduct(*left, {result.point}, db, {points[i]}, max_facts);
+    FEATSEP_CHECK(product.has_value())
+        << "product exceeds max_product_facts (coNEXPTIME-sized instance; "
+           "raise the budget or use fewer factors)";
+    result.largest_facts = std::max(result.largest_facts, product->db.size());
+    result.point = product->tuple[0];
+    result.db = CoreOf(product->db, product->tuple);
+    left = &result.db;
   }
   return result;
 }

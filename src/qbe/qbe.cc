@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "covergame/cover_game.h"
-#include "cq/core.h"
 #include "cq/enumeration.h"
 #include "cq/evaluation.h"
 #include "cq/homomorphism.h"
@@ -17,34 +16,30 @@ namespace featsep {
 
 namespace {
 
-/// Materializes ∏_{e∈S⁺}(D, e); CHECK-fails when over budget.
-ProductResult BuildPositiveProduct(const QbeInstance& instance,
-                                   const QbeOptions& options) {
+/// The core of ∏_{e∈S⁺}(D, e) (FoldCoredProduct), recording its size in
+/// `result`; nullopt, with the outcome recorded, iff the budget ran out.
+std::optional<CoredProduct> PositiveProduct(const QbeInstance& instance,
+                                            const QbeOptions& options,
+                                            QbeResult* result) {
   FEATSEP_CHECK(instance.db != nullptr);
-  FEATSEP_CHECK(!instance.positives.empty())
-      << "QBE requires a nonempty positive set";
-  std::vector<const Database*> factors(instance.positives.size(),
-                                       instance.db);
-  std::vector<std::vector<Value>> tuples;
-  tuples.reserve(instance.positives.size());
-  for (Value e : instance.positives) tuples.push_back({e});
-  auto product = DirectProduct(factors, tuples, options.max_product_facts);
-  FEATSEP_CHECK(product.has_value())
-      << "QBE positive product exceeds max_product_facts (coNEXPTIME-sized "
-         "instance; raise the budget or shrink S+)";
-  return std::move(*product);
+  std::optional<CoredProduct> product =
+      FoldCoredProduct(*instance.db, instance.positives,
+                       options.max_product_facts, options.budget);
+  if (product.has_value()) {
+    result->product_facts = product->largest_facts;
+  } else {
+    result->outcome = OutcomeOf(options.budget);
+  }
+  return product;
 }
 
 }  // namespace
 
 QbeResult SolveCqQbe(const QbeInstance& instance, const QbeOptions& options) {
   QbeResult result;
-  if (!RecheckBudget(options.budget)) {
-    result.outcome = options.budget->outcome();
-    return result;
-  }
-  ProductResult product = BuildPositiveProduct(instance, options);
-  result.product_facts = product.db.size();
+  std::optional<CoredProduct> product =
+      PositiveProduct(instance, options, &result);
+  if (!product.has_value()) return result;
   result.exists = true;
   // The per-negative refutation checks are independent NP searches; fan
   // them out and stop at the first negative the product maps into. (The
@@ -54,44 +49,36 @@ QbeResult SolveCqQbe(const QbeInstance& instance, const QbeOptions& options) {
   std::size_t hit = ParallelFindFirst(
       options.num_threads, instance.negatives.size(), [&](std::size_t i) {
         HomResult hom = FindHomomorphism(
-            product.db, *instance.db,
-            {{product.tuple[0], instance.negatives[i]}}, options.budget);
+            product->db, *instance.db,
+            {{product->point, instance.negatives[i]}}, options.budget);
         return hom.status == HomStatus::kFound;
       });
   result.outcome = OutcomeOf(options.budget);
-  if (hit < instance.negatives.size()) {
-    // The refuting homomorphism was fully verified, so "no explanation" is
-    // sound even when the sweep was interrupted elsewhere.
+  if (hit < instance.negatives.size() ||
+      result.outcome != BudgetOutcome::kCompleted) {
+    // A refuting homomorphism was fully verified, so "no explanation" is
+    // sound even when the sweep was interrupted elsewhere; without one, an
+    // interrupted sweep is undecided (see result.outcome).
     result.exists = false;
     return result;
   }
-  if (result.outcome != BudgetOutcome::kCompleted) {
-    result.exists = false;  // Undecided; see result.outcome.
-    return result;
-  }
-  // The canonical product query is itself an explanation: it selects every
+  // The product's core query is itself an explanation: it selects every
   // positive (projections are homomorphisms) and, as just verified, no
   // negative.
-  Database canonical = options.minimize_explanation
-                           ? CoreOf(product.db, {product.tuple[0]})
-                           : std::move(product.db);
-  result.explanation = CqFromDatabase(canonical, {product.tuple[0]});
+  result.explanation = CqFromDatabase(product->db, {product->point});
   return result;
 }
 
 QbeResult SolveGhwQbe(const QbeInstance& instance, std::size_t k,
                       const QbeOptions& options) {
   QbeResult result;
-  if (!RecheckBudget(options.budget)) {
-    result.outcome = options.budget->outcome();
-    return result;
-  }
-  ProductResult product = BuildPositiveProduct(instance, options);
-  result.product_facts = product.db.size();
+  std::optional<CoredProduct> product =
+      PositiveProduct(instance, options, &result);
+  if (!product.has_value()) return result;
   result.exists = true;
-  CoverGameSolver solver(product.db, *instance.db, k, options.budget);
+  CoverGameSolver solver(product->db, *instance.db, k, options.budget);
   for (Value b : instance.negatives) {
-    Budgeted<bool> win = solver.TryDecide({product.tuple[0]}, {b});
+    Budgeted<bool> win = solver.TryDecide({product->point}, {b});
     if (!win.ok()) {
       result.exists = false;  // Undecided; see result.outcome.
       result.outcome = win.outcome;

@@ -22,21 +22,19 @@ struct QbeInstance {
 
 /// Options controlling the product-based solvers.
 struct QbeOptions {
-  /// Budget on the direct-product size; 0 = unbounded. CQ-QBE is
-  /// coNEXPTIME-complete (Theorem 6.1) and the canonical product has
-  /// |D|^{|S⁺|} facts, so real instances need this guard.
+  /// Bound on each product the positive fold builds (FoldCoredProduct: the
+  /// core so far times D); 0 = unbounded, exceeding it CHECK-fails. CQ-QBE
+  /// is coNEXPTIME-complete (Theorem 6.1), so real instances need it.
   std::size_t max_product_facts = 2000000;
-  /// If true, SolveCqQbe minimizes the returned explanation to its core
-  /// (exponential extra work, much smaller query).
-  bool minimize_explanation = false;
   /// Worker threads fanning out the independent per-negative homomorphism
   /// checks (SolveCqQbe) and per-candidate evaluations (SolveCqmQbe):
   /// 0 = hardware concurrency, 1 = serial (the historical behavior).
   /// Results are identical for every setting.
   std::size_t num_threads = 0;
-  /// Cooperative budget threaded into every homomorphism search, cover
-  /// game, and candidate screen; nullptr = unbounded. Interrupted runs
-  /// report their outcome in QbeResult::outcome.
+  /// Cooperative budget rechecked between the positive fold's products and
+  /// threaded into every homomorphism search, cover game, and candidate
+  /// screen (the fold's CoreOf steps run unbudgeted); nullptr = unbounded.
+  /// Interrupted runs report their outcome in QbeResult::outcome.
   ExecutionBudget* budget = nullptr;
 };
 
@@ -45,8 +43,8 @@ struct QbeResult {
   bool exists = false;
   /// Witness explanation when one was requested and exists (CQ solvers).
   std::optional<ConjunctiveQuery> explanation;
-  /// Facts in the materialized canonical product (diagnostics; drives the
-  /// Theorem 6.7 blowup measurements).
+  /// Facts in the largest product the positive fold built (|D| for one
+  /// positive; 0 if the budget stopped the fold). Diagnostics.
   std::size_t product_facts = 0;
   /// kCompleted: `exists`/`explanation` are definitive. When interrupted, a
   /// *negative* answer backed by a verified witness (a homomorphism or a
@@ -58,16 +56,19 @@ struct QbeResult {
 
 /// CQ-QBE via the product homomorphism method (ten Cate–Dalmau): the
 /// canonical explanation is the direct product P = ∏_{e∈S⁺}(D, e); an
-/// explanation exists iff (P, ē) ↛ (D, b) for every b ∈ S⁻. If an
-/// explanation exists, `explanation` carries the canonical product query.
-/// CHECK-fails if the product exceeds the budget.
+/// explanation exists iff (P, ē) ↛ (D, b) for every b ∈ S⁻. P is built as
+/// its core, folding the positives two at a time (FoldCoredProduct), and if
+/// an explanation exists, `explanation` carries the core's query, the
+/// smallest CQ equivalent to P's. CHECK-fails if a fold step exceeds
+/// `max_product_facts`.
 QbeResult SolveCqQbe(const QbeInstance& instance,
                      const QbeOptions& options = {});
 
 /// GHW(k)-QBE: an explanation of generalized hypertree width ≤ k exists iff
 /// (P, ē) ↛_k (D, b) for every b ∈ S⁻ (Proposition 5.2 plus closure of
 /// GHW(k) under conjunction) — decided with the existential cover game on
-/// the product, EXPTIME overall (Theorem 6.1). No explanation query is
+/// the core of P (hom-equivalent to P, so it wins the same games), EXPTIME
+/// overall (Theorem 6.1). No explanation query is
 /// materialized (they can be exponentially large; see Theorem 5.7).
 QbeResult SolveGhwQbe(const QbeInstance& instance, std::size_t k,
                       const QbeOptions& options = {});

@@ -166,7 +166,7 @@ FuzzReport RunFuzz(const FuzzOptions& options, std::ostream* progress) {
   std::vector<std::size_t> pool;
   /// Scheduler decisions (fresh-vs-mutate, entry picks, mutations) draw
   /// from their own stream so fresh-instance generation stays a pure
-  /// function of (config, options.seed + i).
+  /// function of (config, FuzzInstanceSeed(options.seed, i)).
   WorkloadRng scheduler_rng(options.seed ^ 0xc0ffee5eedf00dULL);
 
   auto admissible = [&](const FuzzInstance& instance) {
@@ -208,7 +208,7 @@ FuzzReport RunFuzz(const FuzzOptions& options, std::ostream* progress) {
 
   for (std::size_t i = 0; i < options.iterations; ++i) {
     if (!RecheckBudget(options.budget)) break;
-    std::uint64_t instance_seed = options.seed + i;
+    std::uint64_t instance_seed = FuzzInstanceSeed(options.seed, i);
     bool mutated = guided && !pool.empty() && !scheduler_rng.Chance(0.3);
     FuzzInstance instance =
         mutated

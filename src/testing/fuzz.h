@@ -1,6 +1,7 @@
 #ifndef FEATSEP_TESTING_FUZZ_H_
 #define FEATSEP_TESTING_FUZZ_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -17,8 +18,8 @@ namespace testing {
 /// Differential fuzz loop: generate a random instance, run the matching
 /// property driver (properties.h), and greedily shrink any instance the
 /// driver rejects. Deterministic: iteration i uses instance seed
-/// `options.seed + i`, so every failure prints a `--seed S --iters 1`
-/// command that regenerates the identical instance.
+/// `FuzzInstanceSeed(options.seed, i)`, so every failure prints a
+/// `--seed S --iters 1` command that regenerates the identical instance.
 ///
 /// Two search modes share the loop:
 ///   - blind: every iteration generates a fresh instance from its seed;
@@ -57,6 +58,13 @@ const char* FuzzConfigName(FuzzConfig config);
 std::optional<FuzzConfig> ParseFuzzConfig(std::string_view name);
 /// Every concrete config (kMixed excluded), in table order.
 std::vector<FuzzConfig> AllFuzzConfigs();
+
+/// The seed of iteration i of a run on `seed`: instance 0 runs on `seed`
+/// (so `--seed <instance_seed> --iters 1` replays it), later ones step by
+/// the 64-bit golden ratio, wrapping, so nearby run seeds share no instance.
+constexpr std::uint64_t FuzzInstanceSeed(std::uint64_t seed, std::size_t i) {
+  return seed + static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL;
+}
 
 struct FuzzOptions {
   std::uint64_t seed = 1;

@@ -25,6 +25,7 @@
 #include "cq/enumeration.h"
 #include "cq/evaluation.h"
 #include "cq/homomorphism.h"
+#include "cq/product.h"
 #include "hypertree/decomposition.h"
 #include "hypertree/ghw.h"
 #include "io/writer.h"
@@ -449,24 +450,24 @@ PropertyCheck CheckQbeProperties(const Database& db,
   }
   const QbeResult& cq = results[0];
 
-  // Screening law for the explanation, canonical and minimized alike:
-  // selects every positive, no negative.
-  QbeOptions minimize;
-  minimize.minimize_explanation = true;
-  QbeResult minimized = SolveCqQbe(instance, minimize);
-  if (minimized.exists != cq.exists) {
-    return Violation("qbe/minimize-decision",
-                     "minimize_explanation changed the decision\n" +
-                         describe());
+  // The solvers core the positive product as they fold it; their reference
+  // is the same left fold of binary products, uncored:
+  // ((D, e₁) × (D, e₂)) × ….
+  ProductResult reference{db, {positives[0]}};
+  for (std::size_t i = 1; i < positives.size(); ++i) {
+    reference = *DirectProduct(reference.db, reference.tuple, db,
+                               {positives[i]});
   }
-  for (const QbeResult* result :
-       {&cq, static_cast<const QbeResult*>(&minimized)}) {
-    if (!result->exists) continue;
-    if (!result->explanation.has_value()) {
+
+  // The explanation selects every positive and no negative, and it is
+  // hom-equivalent to the reference's canonical query (reference
+  // containment, both ways).
+  if (cq.exists) {
+    if (!cq.explanation.has_value()) {
       return Violation("qbe/explanation-missing",
                        "explanation exists but none returned\n" + describe());
     }
-    CqEvaluator evaluator(*result->explanation);
+    CqEvaluator evaluator(*cq.explanation);
     for (Value e : positives) {
       if (!evaluator.SelectsEntity(db, e)) {
         return Violation("qbe/explanation-screens",
@@ -480,6 +481,29 @@ PropertyCheck CheckQbeProperties(const Database& db,
                          "explanation selects negative " + db.value_name(b) +
                              "\n" + describe());
       }
+    }
+    ConjunctiveQuery reference_query =
+        CqFromDatabase(reference.db, reference.tuple);
+    if (!RefIsContainedIn(*cq.explanation, reference_query) ||
+        !RefIsContainedIn(reference_query, *cq.explanation)) {
+      return Violation("qbe/vs-uncored-product",
+                       "explanation " + cq.explanation->ToString() +
+                           " is not hom-equivalent to the uncored product's "
+                           "query\n" + describe());
+    }
+  }
+
+  // GHW(k)-QBE decides as the reference cover game played from it.
+  for (std::size_t k = 1; k <= 2; ++k) {
+    bool reference_exists =
+        std::none_of(negatives.begin(), negatives.end(), [&](Value b) {
+          return RefCoverGameWins(reference.db, reference.tuple, db, {b}, k);
+        });
+    if (SolveGhwQbe(instance, k).exists != reference_exists) {
+      return Violation("qbe/ghw-vs-uncored-product",
+                       "SolveGhwQbe at k=" + std::to_string(k) +
+                           " disagrees with the reference cover game on the "
+                           "uncored product\n" + describe());
     }
   }
 

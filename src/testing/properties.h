@@ -84,10 +84,13 @@ PropertyCheck CheckSepThreadDeterminism(const TrainingDatabase& training);
 
 /// QBE laws on (db, S⁺, S⁻) with S⁺ nonempty entities of an entity
 /// database:
-///   - SolveCqQbe decides identically at 1, 2, and 8 threads and with
-///     minimize_explanation on;
+///   - SolveCqQbe decides identically at 1, 2, and 8 threads;
 ///   - when an explanation exists it selects every positive and no
-///     negative (kernel evaluator), minimized or not;
+///     negative (kernel evaluator), and it is hom-equivalent (reference
+///     containment, both ways) to the canonical query of the uncored left
+///     fold of binary products ((D, e₁) × (D, e₂)) × …;
+///   - SolveGhwQbe at k = 1 and 2 decides as the reference cover game
+///     played from that uncored product;
 ///   - when none exists, dropping S⁻ makes one exist (the canonical
 ///     product query);
 ///   - SolveCqmQbe returns the identical decision and explanation at 1,

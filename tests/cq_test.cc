@@ -156,7 +156,7 @@ TEST(ProductTest, PairProductOfPaths) {
   auto pa = testing::AddPath(a, "a", 2);
   Database b(GraphSchema());
   auto pb = testing::AddPath(b, "b", 3);
-  auto product = DirectProduct({&a, &b}, {{pa[0]}, {pb[0]}});
+  auto product = DirectProduct(a, {pa[0]}, b, {pb[0]});
   ASSERT_TRUE(product.has_value());
   // E-facts: 2 * 3 = 6.
   EXPECT_EQ(product->db.size(), 6u);
@@ -169,7 +169,7 @@ TEST(ProductTest, ProjectionsAreHomomorphisms) {
   testing::AddCycle(a, "a", 4);
   Database b(GraphSchema());
   testing::AddCycle(b, "b", 6);
-  auto product = DirectProduct({&a, &b}, {{}, {}});
+  auto product = DirectProduct(a, {}, b, {});
   ASSERT_TRUE(product.has_value());
   EXPECT_TRUE(HomomorphismExists(product->db, a));
   EXPECT_TRUE(HomomorphismExists(product->db, b));
@@ -189,7 +189,7 @@ TEST(ProductTest, UniversalProperty) {
   Value eb = AddEntity(b, "eb");
   testing::AddEdge(b, "eb", "s");
 
-  auto product = DirectProduct({&a, &b}, {{ea}, {eb}});
+  auto product = DirectProduct(a, {ea}, b, {eb});
   ASSERT_TRUE(product.has_value());
 
   ConjunctiveQuery one_edge = HasOutEdge();
@@ -210,8 +210,48 @@ TEST(ProductTest, FactBudgetGuard) {
   testing::AddCycle(a, "a", 10);
   Database b(GraphSchema());
   testing::AddCycle(b, "b", 10);
-  EXPECT_FALSE(DirectProduct({&a, &b}, {{}, {}}, 50).has_value());
-  EXPECT_TRUE(DirectProduct({&a, &b}, {{}, {}}, 100).has_value());
+  EXPECT_FALSE(DirectProduct(a, {}, b, {}, 50).has_value());
+  EXPECT_TRUE(DirectProduct(a, {}, b, {}, 100).has_value());
+}
+
+TEST(ProductTest, FoldIsTheCoreOfTheUncoredProduct) {
+  // Entities on tails into C3, C4 and C6: the 3-ary product holds a cycle
+  // of length lcm(3, 4, 6) = 12 among 4,000-odd facts; its core is small.
+  Database db(GraphSchema());
+  std::vector<Value> points;
+  for (std::size_t length : {3, 4, 6}) {
+    std::string name = "p" + std::to_string(length);
+    auto cycle = testing::AddCycle(db, name + "_", length);
+    points.push_back(AddEntity(db, name));
+    db.AddFact(db.schema().FindRelation("E"), {points.back(), cycle[0]});
+  }
+  ProductResult uncored{db, {points[0]}};
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    uncored = *DirectProduct(uncored.db, uncored.tuple, db, {points[i]});
+  }
+
+  std::optional<CoredProduct> fold = FoldCoredProduct(db, points, 0);
+  ASSERT_TRUE(fold.has_value());
+  EXPECT_TRUE(HomomorphismExists(fold->db, uncored.db,
+                                 {{fold->point, uncored.tuple[0]}}));
+  EXPECT_TRUE(HomomorphismExists(uncored.db, fold->db,
+                                 {{uncored.tuple[0], fold->point}}));
+  EXPECT_EQ(CoreOf(fold->db, {fold->point}).size(), fold->db.size());
+  // Each step multiplies a core by D: at most a tenth of the 3-ary product.
+  EXPECT_GE(fold->largest_facts,
+            DirectProduct(db, {points[0]}, db, {points[1]})->db.size());
+  EXPECT_LT(10 * fold->largest_facts, uncored.db.size());
+
+  // One point is cored, not multiplied.
+  std::optional<CoredProduct> single = FoldCoredProduct(db, {points[0]}, 0);
+  ASSERT_TRUE(single.has_value());
+  EXPECT_EQ(single->point, points[0]);
+  EXPECT_EQ(single->largest_facts, db.size());
+  EXPECT_EQ(single->db.size(), CoreOf(db, {points[0]}).size());
+
+  // An expired budget stops the fold before it builds anything.
+  ExecutionBudget expired = testing::ExpiredBudget();
+  EXPECT_FALSE(FoldCoredProduct(db, points, 0, &expired).has_value());
 }
 
 TEST(ProductTest, UnarySchemaProduct) {
@@ -222,7 +262,7 @@ TEST(ProductTest, UnarySchemaProduct) {
   Value eb = AddEntity(b, "eb");
   b.AddFact("R", {"eb"});
   b.AddFact("S", {"eb"});
-  auto product = DirectProduct({&a, &b}, {{ea}, {eb}});
+  auto product = DirectProduct(a, {ea}, b, {eb});
   ASSERT_TRUE(product.has_value());
   // Eta: 1x1, R: 1x1, S: 0 (a has no S fact).
   EXPECT_EQ(product->db.size(), 2u);

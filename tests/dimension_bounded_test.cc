@@ -141,9 +141,7 @@ TEST(SepDimModelTest, ProductExplainerAlsoWorks) {
   SepDimResult result = DecideSepDim(*training, 2, MakeCqQbeOracle());
   ASSERT_TRUE(result.separable);
   QbeExplainer explainer = [](const QbeInstance& instance) {
-    QbeOptions options;
-    options.minimize_explanation = true;
-    return SolveCqQbe(instance, options);
+    return SolveCqQbe(instance);
   };
   auto model = BuildSepDimModel(*training, result, explainer);
   ASSERT_TRUE(model.has_value());

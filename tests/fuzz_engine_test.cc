@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,6 +42,7 @@ using ::featsep::testing::FaultKindName;
 using ::featsep::testing::FuzzConfig;
 using ::featsep::testing::FuzzConfigName;
 using ::featsep::testing::FuzzInstance;
+using ::featsep::testing::FuzzInstanceSeed;
 using ::featsep::testing::GenerateFuzzInstance;
 using ::featsep::testing::MutateFuzzInstance;
 using ::featsep::testing::PropertyCheck;
@@ -275,6 +277,27 @@ TEST(MutateTest, ChainsStaySanitizedAndLawful) {
             << check->property << ": " << check->detail;
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Instance seeds.
+
+TEST(FuzzSeedTest, NearbyRunSeedsShareNoInstance) {
+  // Instance 0 is the run seed itself, so `--seed <instance_seed> --iters 1`
+  // replays a reported failure.
+  for (std::uint64_t seed : {0ULL, 1ULL, 2ULL, 404ULL, ~0ULL}) {
+    EXPECT_EQ(FuzzInstanceSeed(seed, 0), seed);
+  }
+  // Runs on seeds 1 and 2 test disjoint instances.
+  constexpr std::size_t kIterations = 10000;
+  std::unordered_set<std::uint64_t> seed_one;
+  for (std::size_t i = 0; i < kIterations; ++i) {
+    seed_one.insert(FuzzInstanceSeed(1, i));
+  }
+  ASSERT_EQ(seed_one.size(), kIterations);
+  for (std::size_t i = 0; i < kIterations; ++i) {
+    EXPECT_EQ(seed_one.count(FuzzInstanceSeed(2, i)), 0u) << "instance " << i;
   }
 }
 

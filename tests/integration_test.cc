@@ -118,7 +118,8 @@ TEST(CrossValidation, ApxSepAtZeroEpsilonEqualsSep) {
   }
 }
 
-// The minimized CQ-QBE explanation with t atoms witnesses CQ[t]-QBE.
+// The CQ-QBE explanation (the product's core) with t atoms witnesses
+// CQ[t]-QBE.
 TEST(CrossValidation, MinimizedExplanationBoundsCqmQbe) {
   auto db = std::make_shared<Database>(GraphSchema());
   Value p = AddEntity(*db, "p");
@@ -127,9 +128,7 @@ TEST(CrossValidation, MinimizedExplanationBoundsCqmQbe) {
   testing::AddEdge(*db, "a", "b");
   testing::AddEdge(*db, "n", "c");
   QbeInstance instance{db.get(), {p}, {n}};
-  QbeOptions options;
-  options.minimize_explanation = true;
-  QbeResult cq = SolveCqQbe(instance, options);
+  QbeResult cq = SolveCqQbe(instance);
   ASSERT_TRUE(cq.exists);
   std::size_t atoms = cq.explanation->NumAtoms(false);
   EXPECT_TRUE(SolveCqmQbe(instance, atoms).exists);

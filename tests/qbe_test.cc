@@ -7,6 +7,7 @@
 
 #include "cq/evaluation.h"
 #include "test_util.h"
+#include "workload/movies.h"
 
 namespace featsep {
 namespace {
@@ -56,7 +57,7 @@ TEST(CqQbeTest, NoExplanationWhenNegativeDominates) {
   EXPECT_FALSE(result.exists);
 }
 
-TEST(CqQbeTest, MinimizedExplanationIsSmallAndCorrect) {
+TEST(CqQbeTest, DefaultExplanationIsTheCore) {
   Database db(GraphSchema());
   Value p1 = AddEntity(db, "p1");
   Value p2 = AddEntity(db, "p2");
@@ -67,9 +68,7 @@ TEST(CqQbeTest, MinimizedExplanationIsSmallAndCorrect) {
   testing::AddEdge(db, "c", "d");
   testing::AddEdge(db, "n1", "e");
 
-  QbeOptions options;
-  options.minimize_explanation = true;
-  QbeResult result = SolveCqQbe({&db, {p1, p2}, {n1}}, options);
+  QbeResult result = SolveCqQbe({&db, {p1, p2}, {n1}});
   ASSERT_TRUE(result.exists);
   // The core of the product is (up to iso) Eta(x), E(x,y), E(y,z).
   EXPECT_LE(result.explanation->NumAtoms(true), 3u);
@@ -86,8 +85,51 @@ TEST(CqQbeTest, ProductSizeReported) {
   testing::AddEdge(db, "p2", "b");
   QbeResult result = SolveCqQbe({&db, {p1, p2}, {}});
   EXPECT_TRUE(result.exists);
-  // Eta: 2x2 = 4 facts; E: 2x2 = 4 facts.
+  // The fold's first product is D x D, uncored: Eta: 2x2 = 4 facts;
+  // E: 2x2 = 4 facts.
   EXPECT_EQ(result.product_facts, 8u);
+}
+
+TEST(CqQbeTest, FoldStaysUnderAProductBudgetTheFullProductExceeds) {
+  // Four sci-fi fans against two others: the 4-ary product has 9,380 facts,
+  // but each fold step multiplies a small core by D.
+  auto db = MakeMovieDatabase();
+  QbeInstance instance{db.get(), {}, {}};
+  for (const char* name : {"ada", "bela", "dora", "fay"}) {
+    instance.positives.push_back(db->FindValue(name));
+  }
+  for (const char* name : {"carlos", "emil"}) {
+    instance.negatives.push_back(db->FindValue(name));
+  }
+  QbeResult result = SolveCqQbe(instance, {.max_product_facts = 1000});
+  ASSERT_TRUE(result.exists);
+  EXPECT_LE(result.product_facts, 1000u);
+  CqEvaluator evaluator(*result.explanation);
+  for (Value e : instance.positives) {
+    EXPECT_TRUE(evaluator.SelectsEntity(*db, e)) << db->value_name(e);
+  }
+  for (Value b : instance.negatives) {
+    EXPECT_FALSE(evaluator.SelectsEntity(*db, b)) << db->value_name(b);
+  }
+}
+
+TEST(CqQbeTest, ExpiredBudgetStopsBeforeTheFold) {
+  Database db(GraphSchema());
+  Value p1 = AddEntity(db, "p1");
+  Value p2 = AddEntity(db, "p2");
+  Value n1 = AddEntity(db, "n1");
+  testing::AddEdge(db, "p1", "a");
+  testing::AddEdge(db, "p2", "b");
+  ExecutionBudget budget = testing::ExpiredBudget();
+  QbeInstance instance{&db, {p1, p2}, {n1}};
+  for (const QbeResult& result :
+       {SolveCqQbe(instance, {.budget = &budget}),
+        SolveGhwQbe(instance, 1, {.budget = &budget})}) {
+    EXPECT_EQ(result.outcome, BudgetOutcome::kTimedOut);
+    EXPECT_FALSE(result.exists);
+    EXPECT_FALSE(result.explanation.has_value());
+    EXPECT_EQ(result.product_facts, 0u);
+  }
 }
 
 TEST(GhwQbeTest, CycleLcmSeparationNeedsWidthTwo) {
